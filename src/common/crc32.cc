@@ -1,38 +1,15 @@
 #include "crc32.hh"
 
-#include <array>
+#include "simd.hh"
 
 namespace wlcrc
 {
 
-namespace
-{
-
-constexpr std::array<uint32_t, 256>
-makeTable()
-{
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-        uint32_t c = i;
-        for (int bit = 0; bit < 8; ++bit)
-            c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
-        table[i] = c;
-    }
-    return table;
-}
-
-constexpr auto table = makeTable();
-
-} // namespace
-
 uint32_t
 crc32(const void *data, std::size_t len, uint32_t seed)
 {
-    const auto *p = static_cast<const uint8_t *>(data);
-    uint32_t c = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+    return simd::ops().crc32(static_cast<const uint8_t *>(data), len,
+                             seed);
 }
 
 } // namespace wlcrc

@@ -1,9 +1,16 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
- * buffers. Used by the WLCTRC02 trace container to checksum record
- * blocks and the footer index, so corruption is detected at read
- * time instead of silently skewing replay metrics.
+ * buffers. The trace containers use it so corruption is detected at
+ * read time instead of silently skewing replay metrics: WLCTRC02
+ * checksums each record block and the footer index; WLCTRC03
+ * checksums both the stored (possibly compressed) bytes and the raw
+ * record bytes of every block, plus its index, and a crc32 over the
+ * v2-style index is the cache-facing content digest.
+ *
+ * The implementation is the crc32 kernel of the active SIMD table
+ * (simd::ops(), common/simd.hh): slicing-by-16, PCLMULQDQ folding
+ * or the ARMv8 CRC32 instructions, all returning the same checksum.
  */
 
 #ifndef WLCRC_COMMON_CRC32_HH

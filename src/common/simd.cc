@@ -1,5 +1,6 @@
 #include "simd.hh"
 
+#include <array>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -79,15 +80,43 @@ scalarMapBlocks(uint64_t word, const uint8_t *const *tables,
         scalarMapSymbols(word, tables[b], lo[b], hi[b], out);
 }
 
+/**
+ * Slicing-by-16 tables: crcTables[0] is the classic bytewise table,
+ * and crcTables[k][i] is the CRC state after byte i followed by k
+ * zero bytes, so one step folds 16 input bytes with 16 lookups.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
+        t[0][i] = c;
+    }
+    for (unsigned k = 1; k < 16; ++k)
+        for (unsigned i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    return t;
+}
+
+constexpr CrcTables crcTables = makeCrcTables();
+
 constexpr Ops scalarOps = {scalarByteDiffMask, scalarMapSymbols,
                            scalarAccumRows4, scalarAccumRows8,
-                           scalarAccumBlocks4, scalarMapBlocks};
+                           scalarAccumBlocks4, scalarMapBlocks,
+                           detail::scalarCrc32};
 
+/** The avx2 table needs AVX2, and PCLMULQDQ for its crc32 kernel. */
 bool
 cpuHasAvx2()
 {
 #if defined(__x86_64__) || defined(_M_X64)
-    return __builtin_cpu_supports("avx2");
+    return __builtin_cpu_supports("avx2") &&
+           __builtin_cpu_supports("pclmul");
 #else
     return false;
 #endif
@@ -174,6 +203,27 @@ opsFor(Kernel k)
 
 namespace detail
 {
+
+uint32_t
+scalarCrc32(const uint8_t *p, std::size_t len, uint32_t seed)
+{
+    const auto &t = crcTables;
+    uint32_t c = ~seed;
+    for (; len >= 16; p += 16, len -= 16) {
+        // Bytes are read one at a time, so the result does not
+        // depend on the host's byte order.
+        c ^= uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+             uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
+        c = t[15][c & 0xff] ^ t[14][(c >> 8) & 0xff] ^
+            t[13][(c >> 16) & 0xff] ^ t[12][c >> 24] ^
+            t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+            t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^
+            t[3][p[12]] ^ t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
+    }
+    for (; len; ++p, --len)
+        c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
+    return ~c;
+}
 
 std::atomic<const Ops *> activeOps{nullptr};
 

@@ -1,12 +1,15 @@
 /**
  * @file
- * Runtime-dispatched SIMD kernels for the encode hot path.
+ * Runtime-dispatched SIMD kernels for the encode and trace-decode
+ * hot paths.
  *
  * Three inner loops dominate LineCodec::encodeInto and the
  * differential write (see docs/simd.md):
  *  - the word-wise differential scan (which cells changed),
  *  - per-candidate symbol mapping (2-bit symbols -> cell states),
  *  - cost-row candidate scoring (per-cell 4/8-lane double adds).
+ * A fourth dominates reading a trace container: the CRC-32 that
+ * verifies every record block (wlcrc::crc32, common/crc32.hh).
  *
  * Each loop is exposed here as a kernel in an Ops table with three
  * implementations: a scalar reference (always compiled, always the
@@ -27,6 +30,7 @@
 #define WLCRC_COMMON_SIMD_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -109,6 +113,15 @@ struct Ops
     void (*mapBlocks)(uint64_t word, const uint8_t *const *tables,
                       const uint8_t *lo, const uint8_t *hi,
                       unsigned nblocks, uint8_t *out);
+
+    /**
+     * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of
+     * @p data[0..len), continuing from @p seed, the checksum of the
+     * bytes before it (0 starts a new message): the wlcrc::crc32()
+     * contract. Any alignment and length, including 0.
+     */
+    uint32_t (*crc32)(const uint8_t *data, std::size_t len,
+                      uint32_t seed);
 };
 
 /** Display name ("scalar", "avx2", "neon"). */
@@ -149,6 +162,11 @@ const Ops &opsFor(Kernel k);
 
 namespace detail
 {
+/** The scalar crc32 kernel; vector kernels finish short buffers and
+ *  tails with it. */
+uint32_t scalarCrc32(const uint8_t *data, std::size_t len,
+                     uint32_t seed);
+
 /** Active table; null until first resolution. */
 extern std::atomic<const Ops *> activeOps;
 const Ops &resolveActiveOps();

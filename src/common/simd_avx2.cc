@@ -3,12 +3,15 @@
  * AVX2 implementations of the simd.hh kernels. This translation unit
  * is compiled with -mavx2 on x86-64 (see CMakeLists.txt) while the
  * rest of the library stays at the baseline ISA; dispatch guarantees
- * the functions here only run on CPUs reporting AVX2.
+ * the functions here only run on CPUs reporting AVX2 and PCLMULQDQ.
+ * The crc32 kernel enables PCLMULQDQ with a function-level target
+ * attribute, so the file needs no flag beyond -mavx2.
  *
  * Bit-identity: mapSymbolsAvx2/byteDiffMaskAvx2 are pure integer
  * transforms; accumRows4/8 add the same doubles in the same cell
  * order as the scalar reference (vaddpd is four independent per-lane
  * adds), so every kernel reproduces the scalar results exactly.
+ * crc32Pclmul is exact carry-less arithmetic over GF(2).
  */
 
 #include "simd.hh"
@@ -212,9 +215,73 @@ mapBlocksAvx2(uint64_t word, const uint8_t *const *tables,
     }
 }
 
+inline __m128i
+load128(const uint8_t *at)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(at));
+}
+
+/**
+ * One fold step: the low and high halves of @p x carry-less
+ * multiplied by the low and high constants of @p k, plus @p next.
+ * (A lambda would not inherit the target attribute.)
+ */
+__attribute__((target("pclmul"))) inline __m128i
+fold128(__m128i x, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(
+        _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                      _mm_clmulepi64_si128(x, k, 0x11)),
+        next);
+}
+
+/**
+ * CRC-32 by carry-less multiplication (Intel, "Fast CRC Computation
+ * for Generic Polynomials Using PCLMULQDQ"): four 128-bit
+ * accumulators fold 64 bytes per step, collapse into one, fold the
+ * remaining whole 16-byte blocks, and the scalar kernel reduces the
+ * last 16 folded bytes (from a zero CRC state, since folding keeps
+ * the message congruent modulo the polynomial) plus the tail.
+ * Constants are x^n mod P for the bit-reflected polynomial:
+ * k1/k2 fold across 4x128 bits, k3/k4 across 128 bits.
+ */
+__attribute__((target("pclmul"))) uint32_t
+crc32Pclmul(const uint8_t *p, std::size_t len, uint32_t seed)
+{
+    if (len < 64)
+        return detail::scalarCrc32(p, len, seed);
+    const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+
+    __m128i x0 = _mm_xor_si128(
+        load128(p), _mm_cvtsi32_si128(static_cast<int>(~seed)));
+    __m128i x1 = load128(p + 16);
+    __m128i x2 = load128(p + 32);
+    __m128i x3 = load128(p + 48);
+    p += 64;
+    len -= 64;
+    for (; len >= 64; p += 64, len -= 64) {
+        x0 = fold128(x0, k1k2, load128(p));
+        x1 = fold128(x1, k1k2, load128(p + 16));
+        x2 = fold128(x2, k1k2, load128(p + 32));
+        x3 = fold128(x3, k1k2, load128(p + 48));
+    }
+    x0 = fold128(x0, k3k4, x1);
+    x0 = fold128(x0, k3k4, x2);
+    x0 = fold128(x0, k3k4, x3);
+    for (; len >= 16; p += 16, len -= 16)
+        x0 = fold128(x0, k3k4, load128(p));
+
+    alignas(16) uint8_t folded[16];
+    _mm_store_si128(reinterpret_cast<__m128i *>(folded), x0);
+    return detail::scalarCrc32(
+        p, len, detail::scalarCrc32(folded, 16, ~uint32_t{0}));
+}
+
 constexpr Ops avx2Ops = {byteDiffMaskAvx2, mapSymbolsAvx2,
                          accumRows4Avx2, accumRows8Avx2,
-                         accumBlocks4Avx2, mapBlocksAvx2};
+                         accumBlocks4Avx2, mapBlocksAvx2,
+                         crc32Pclmul};
 
 } // namespace
 

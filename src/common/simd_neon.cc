@@ -2,7 +2,10 @@
  * @file
  * NEON (aarch64) implementations of the simd.hh kernels. Compiled
  * only on aarch64, where NEON is architecturally guaranteed; other
- * platforms get the null registration below.
+ * platforms get the null registration below. The crc32 entry uses
+ * the optional CRC32 instructions (enabled per function, checked at
+ * run time through HWCAP_CRC32) and is the scalar kernel without
+ * them.
  *
  * Bit-identity contract as in simd_avx2.cc: integer kernels are
  * exact, and the accumulation kernels issue per-lane vaddq_f64 adds
@@ -13,8 +16,19 @@
 
 #if defined(__aarch64__)
 
+#include <arm_acle.h>
 #include <arm_neon.h>
 #include <cstring>
+
+#if defined(__linux__)
+#include <sys/auxv.h> // getauxval, HWCAP_CRC32
+#endif
+
+#if defined(__clang__)
+#define WLCRC_TARGET_CRC __attribute__((target("crc")))
+#else
+#define WLCRC_TARGET_CRC __attribute__((target("+crc")))
+#endif
 
 namespace wlcrc::simd
 {
@@ -177,15 +191,50 @@ mapBlocksNeon(uint64_t word, const uint8_t *const *tables,
     std::memcpy(out + a, tmp + a, z - a + 1);
 }
 
-constexpr Ops neonOps = {byteDiffMaskNeon, mapSymbolsNeon,
-                         accumRows4Neon, accumRows8Neon,
-                         accumBlocks4Neon, mapBlocksNeon};
+/**
+ * CRC-32 with the ARMv8 CRC32 instructions (same polynomial). The
+ * 8-byte loads assume little-endian data, as on aarch64 Linux.
+ */
+WLCRC_TARGET_CRC uint32_t
+crc32Arm(const uint8_t *p, std::size_t len, uint32_t seed)
+{
+    uint32_t c = ~seed;
+    for (; len >= 8; p += 8, len -= 8) {
+        uint64_t v;
+        std::memcpy(&v, p, 8);
+        c = __crc32d(c, v);
+    }
+    for (; len; ++p, --len)
+        c = __crc32b(c, *p);
+    return ~c;
+}
+
+bool
+cpuHasCrc32()
+{
+#if defined(__linux__) && defined(HWCAP_CRC32)
+    return (getauxval(AT_HWCAP) & HWCAP_CRC32) != 0;
+#elif defined(__ARM_FEATURE_CRC32)
+    return true;
+#else
+    return false;
+#endif
+}
+
+Ops
+makeNeonOps()
+{
+    return {byteDiffMaskNeon, mapSymbolsNeon, accumRows4Neon,
+            accumRows8Neon, accumBlocks4Neon, mapBlocksNeon,
+            cpuHasCrc32() ? crc32Arm : detail::scalarCrc32};
+}
 
 } // namespace
 
 const Ops *
 neonOpsOrNull()
 {
+    static const Ops neonOps = makeNeonOps();
     return &neonOps;
 }
 

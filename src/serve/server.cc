@@ -96,7 +96,7 @@ Server::acceptLoop()
         if (cfd < 0) {
             if (errno == EINTR)
                 continue;
-            break; // listener closed by shutdownAll()
+            break; // listener shut down by shutdownAll()
         }
         if (stopFlag_.load()) {
             ::close(cfd);
@@ -306,14 +306,17 @@ Server::shutdownAll()
 {
     if (drained_)
         return;
-    // 1. Stop accepting: closing the listener wakes accept().
-    if (listenFd_ >= 0) {
+    // 1. Stop accepting: shutting the listener down wakes accept().
+    //    Close it only after the accept thread has exited, so that
+    //    thread never reads a reset or reused fd number.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     // 2. Unblock every reader; each drains its admitted writes,
     //    closes its capture file and exits.
     {

@@ -11,7 +11,9 @@
  * 1. Kernel level: byteDiffMask / mapSymbols / accumRows4 / accumRows8
  *    of every available kernel against the scalar table, over
  *    randomized inputs and the edge geometries (partial last word,
- *    single-cell ranges, range ends at 31).
+ *    single-cell ranges, range ends at 31); crc32 of every kernel
+ *    against a bitwise reference kept here, at every length 0-1024,
+ *    every start misalignment 0-15 and a full trace block.
  *
  * 2. Codec level: every scheme x energy model x kernel over
  *    randomized and adversarial lines (all-zero, all-ones/aux-heavy,
@@ -39,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "coset/codec.hh"
@@ -365,6 +368,99 @@ TEST(SimdKernels, MapBlocksMatchesComposedMapSymbols)
                                      got.size()))
                 << simd::kernelName(k) << " round " << round << " ["
                 << a << "," << z << "] nblocks=" << nblocks;
+        }
+    }
+}
+
+/** Bit-at-a-time CRC-32, independent of every kernel's tables. */
+uint32_t
+bitwiseCrc32(const uint8_t *p, std::size_t len, uint32_t seed)
+{
+    uint32_t c = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0u);
+    }
+    return ~c;
+}
+
+std::vector<uint8_t>
+randomBytes(Rng &rng, std::size_t n)
+{
+    std::vector<uint8_t> out(n);
+    for (auto &b : out)
+        b = static_cast<uint8_t>(rng.next());
+    return out;
+}
+
+TEST(SimdKernels, Crc32CheckValue)
+{
+    const auto *msg = reinterpret_cast<const uint8_t *>("123456789");
+    for (const Kernel k : availableKernels()) {
+        EXPECT_EQ(simd::opsFor(k).crc32(msg, 9, 0), 0xcbf43926u)
+            << simd::kernelName(k);
+        KernelScope scope(k);
+        EXPECT_EQ(crc32(msg, 9), 0xcbf43926u) << simd::kernelName(k);
+    }
+}
+
+TEST(SimdKernels, Crc32MatchesBitwiseAtEveryLengthAndAlignment)
+{
+    Rng rng(707);
+    const std::vector<uint8_t> buf = randomBytes(rng, 1024 + 16);
+    const auto kernels = availableKernels();
+    for (unsigned off = 0; off < 16; ++off) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            // Alternate a fresh message and a chained seed.
+            const uint32_t seed =
+                len % 2 ? static_cast<uint32_t>(rng.next()) : 0;
+            const uint32_t want =
+                bitwiseCrc32(buf.data() + off, len, seed);
+            for (const Kernel k : kernels)
+                ASSERT_EQ(simd::opsFor(k).crc32(buf.data() + off,
+                                                len, seed),
+                          want)
+                    << simd::kernelName(k) << " off=" << off
+                    << " len=" << len << " seed=" << seed;
+        }
+    }
+}
+
+TEST(SimdKernels, Crc32MatchesBitwiseOnAFullTraceBlock)
+{
+    // 4096 records x 136 B: the WLCTRC03 block every replay verifies.
+    Rng rng(808);
+    const std::vector<uint8_t> block = randomBytes(rng, 557056 + 1);
+    for (const uint32_t seed : {0u, 0x9e3779b9u}) {
+        for (const unsigned off : {0u, 1u}) {
+            const uint32_t want = bitwiseCrc32(block.data() + off,
+                                               557056, seed);
+            for (const Kernel k : availableKernels())
+                EXPECT_EQ(simd::opsFor(k).crc32(block.data() + off,
+                                                557056, seed),
+                          want)
+                    << simd::kernelName(k) << " off=" << off
+                    << " seed=" << seed;
+        }
+    }
+}
+
+TEST(SimdKernels, Crc32ChainsAcrossEverySplit)
+{
+    Rng rng(909);
+    const std::vector<uint8_t> msg = randomBytes(rng, 3000);
+    const uint32_t whole = bitwiseCrc32(msg.data(), msg.size(), 0);
+    for (const Kernel k : availableKernels()) {
+        const simd::Ops &ops = simd::opsFor(k);
+        for (const std::size_t cut :
+             {0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 1000, 2935,
+              2936, 2999, 3000}) {
+            // crc32(b, len_b, crc32(a, len_a)) == crc32(a || b)
+            const uint32_t a = ops.crc32(msg.data(), cut, 0);
+            EXPECT_EQ(ops.crc32(msg.data() + cut, msg.size() - cut, a),
+                      whole)
+                << simd::kernelName(k) << " cut=" << cut;
         }
     }
 }

@@ -10,7 +10,13 @@
  *   - the recompute-per-fetch scalar-scoring test hook,
  *   - periodically, a batched replay against a step()-ed replay.
  *
- * A seeded LZ stage runs first: pattern-biased buffers (runs,
+ * A seeded CRC stage runs first: buffers of random length (up to a
+ * full 557,056-byte trace block) at random misalignments, chained
+ * from random seeds, must checksum identically under every kernel
+ * and survive a split at a random point (crc of a then b == crc of
+ * the whole).
+ *
+ * A seeded LZ stage follows: pattern-biased buffers (runs,
  * repeats, 136-byte record-shaped periods) must round-trip through
  * the trace block codec bit-exactly, and bit-flipped / truncated
  * compressed streams plus pure garbage must be rejected with an
@@ -81,9 +87,9 @@ usage(std::FILE *to)
         "Differential fuzzer: encodes random lines under every\n"
         "available SIMD kernel and the scalar-scoring test hook,\n"
         "failing loudly on any bit difference from the scalar\n"
-        "reference. Seeded LZ round-trip/mutation and hostile WRK1\n"
-        "client stages run first. Exits 0 on a clean run, 1 on a\n"
-        "mismatch.\n");
+        "reference. Seeded CRC-32 kernel, LZ round-trip/mutation\n"
+        "and hostile WRK1 client stages run first. Exits 0 on a\n"
+        "clean run, 1 on a mismatch.\n");
 }
 
 std::vector<Kernel>
@@ -282,6 +288,47 @@ fuzzLzBuffer(Rng &rng)
         at += chunk;
     }
     return buf;
+}
+
+/**
+ * One seeded CRC case: every kernel must match the scalar kernel on
+ * a random buffer, offset and seed, whole and split at a random cut.
+ * @return false (after a report) on a mismatch.
+ */
+bool
+crcFuzzCase(uint64_t iseed, const std::vector<Kernel> &kernels)
+{
+    Rng rng(iseed);
+    // Mostly short buffers (head/tail paths), now and then a block.
+    const std::size_t len = rng.chance(0.05) ? rng.nextBelow(557057)
+                                             : rng.nextBelow(4097);
+    const std::size_t off = rng.nextBelow(16);
+    std::vector<uint8_t> buf(off + len);
+    for (auto &b : buf)
+        b = static_cast<uint8_t>(rng.next());
+    const uint32_t seed =
+        rng.chance(0.5) ? 0 : static_cast<uint32_t>(rng.next());
+    const std::size_t cut = rng.nextBelow(len + 1);
+    const uint8_t *p = buf.data() + off;
+    const uint32_t want =
+        simd::opsFor(Kernel::Scalar).crc32(p, len, seed);
+    for (const Kernel k : kernels) {
+        const simd::Ops &ops = simd::opsFor(k);
+        const uint32_t whole = ops.crc32(p, len, seed);
+        const uint32_t split =
+            ops.crc32(p + cut, len - cut, ops.crc32(p, cut, seed));
+        if (whole != want || split != want) {
+            std::fprintf(stderr,
+                         "MISMATCH (crc32, %s): len %zu off %zu seed "
+                         "%08x cut %zu: whole %08x split %08x, scalar "
+                         "%08x (iteration seed %llu)\n",
+                         simd::kernelName(k), len, off, seed, cut,
+                         whole, split, want,
+                         static_cast<unsigned long long>(iseed));
+            return false;
+        }
+    }
+    return true;
 }
 
 /**
@@ -565,9 +612,14 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(seed));
 
-        // LZ stage first: it is orders of magnitude cheaper than an
-        // encode, so it shares the iteration budget 1:1. Seeds are
-        // salted so the two stages never draw the same stream.
+        // CRC and LZ stages first: they are orders of magnitude
+        // cheaper than an encode, so they share the iteration budget
+        // 1:1. Seeds are salted so no two stages draw the same
+        // stream.
+        for (uint64_t iter = 0; iter < iters; ++iter)
+            if (!crcFuzzCase(childSeed(seed ^ 0x637263ull, iter),
+                             kernels))
+                return 1;
         LzScratch lzScratch;
         for (uint64_t iter = 0; iter < iters; ++iter)
             if (!lzFuzzCase(childSeed(seed ^ 0x6c7aull, iter),
@@ -670,9 +722,11 @@ main(int argc, char **argv)
         }
 
         std::fprintf(stderr,
-                     "ok: %llu lz cases + %llu hostile wrk1 streams "
-                     "(%llu named errors) + %llu encodes + %zu "
-                     "replay streams, all kernels bit-identical\n",
+                     "ok: %llu crc cases + %llu lz cases + %llu "
+                     "hostile wrk1 streams (%llu named errors) + "
+                     "%llu encodes + %zu replay streams, all "
+                     "kernels bit-identical\n",
+                     static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(wrk1Cases),
                      static_cast<unsigned long long>(wrk1Errors),

@@ -48,8 +48,8 @@ usage(std::FILE *out)
         "  --loops N            concurrent pull loops, each its\n"
         "                       own connection (default 1)\n"
         "  --poll-ms MS         idle poll interval (default 50)\n"
-        "  --simd KERNEL        encode kernel: auto scalar avx2\n"
-        "                       neon (default auto)\n"
+        "  --simd KERNEL        kernel: auto scalar avx2 neon\n"
+        "                       (default $WLCRC_SIMD, else auto)\n"
         "  --kill-after N       fault injection: SIGKILL self on\n"
         "                       receiving the Nth point\n"
         "  --hang-after N       fault injection: hang forever on\n"
@@ -61,7 +61,7 @@ struct Options
 {
     wlcrc::runner::WorkerOptions worker;
     unsigned loops = 1;
-    std::string simd = "auto";
+    std::string simd; // empty: $WLCRC_SIMD, else auto
     bool help = false;
 };
 
@@ -134,7 +134,9 @@ main(int argc, char **argv)
         return 0;
     }
     try {
-        simd::setKernelFromText(opts.simd);
+        if (!opts.simd.empty())
+            simd::setKernelFromText(opts.simd);
+        simd::activeKernel(); // a bad $WLCRC_SIMD fails here
     } catch (const std::exception &e) {
         std::fprintf(stderr, "wlcrc_worker: %s\n", e.what());
         return 2;
