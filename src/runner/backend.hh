@@ -10,22 +10,19 @@
  *                    thread — the reference implementation;
  *  - ThreadBackend   one thread-pool task per (spec, shard), the
  *                    historical (and default) in-process engine;
- *  - ProcessBackend  one child worker process per grid point
- *                    (`wlcrc_sim --worker`): the spec crosses as a
- *                    canonicalSpec() temp file, the result comes
- *                    back as the JSON report on the child's stdout.
- *                    Grids too big for one address space — or whose
- *                    points might crash — run unchanged; a dying
- *                    worker fails its own point only. Specs that
- *                    cannot cross a process boundary (closure hooks,
- *                    in-memory sources) transparently run inline.
+ *  - RemoteBackend   (runner/remote.hh) the one out-of-process
+ *                    path: grid points go to wlcrc_worker processes,
+ *                    spawned on loopback or run by a cluster. A
+ *                    worker that crashes costs the head nothing; a
+ *                    spawned fleet that dies fails the remaining
+ *                    points in-band.
  *
  * Determinism: a backend only ever changes *where* shards execute.
  * Shard seeds come from the spec (shardSeed), shard merges happen
  * in fixed shard order, and results come back in spec order, so
- * serial, thread and process execution of the same grid are
- * byte-identical — tests/backend_test.cc and the golden bench suite
- * enforce it.
+ * serial, thread and remote execution of the same grid are
+ * byte-identical — tests/backend_test.cc,
+ * tests/remote_backend_test.cc and the golden bench suite enforce it.
  */
 
 #ifndef WLCRC_RUNNER_BACKEND_HH
@@ -48,7 +45,7 @@ class ExecutionBackend
   public:
     virtual ~ExecutionBackend() = default;
 
-    /** Stable identifier: "serial", "thread", "process", ... */
+    /** Stable identifier: "serial", "thread", "remote". */
     virtual const char *name() const = 0;
 
     /**
@@ -89,37 +86,10 @@ class ThreadBackend final : public ExecutionBackend
         const std::function<void()> &taskDone) const override;
 };
 
-/** Child-process fan-out via the `--worker` protocol. */
-class ProcessBackend final : public ExecutionBackend
-{
-  public:
-    /**
-     * @param workerBinary executable implementing `--worker FILE`
-     *        (normally wlcrc_sim; it passes its own argv[0]).
-     */
-    explicit ProcessBackend(std::string workerBinary);
-
-    const char *name() const override { return "process"; }
-    /** One progress unit per grid point (child = whole spec). */
-    std::size_t
-    taskCount(const std::vector<ExperimentSpec> &specs) const
-        override;
-    std::vector<ExperimentResult>
-    run(const std::vector<ExperimentSpec> &specs, unsigned jobs,
-        const std::function<void()> &taskDone) const override;
-
-    const std::string &workerBinary() const { return worker_; }
-
-  private:
-    ExperimentResult runWorker(const ExperimentSpec &spec) const;
-
-    std::string worker_;
-};
-
 /**
  * Execute one spec on the calling thread: shards in shard order,
  * merged into one result. The unit every backend is built from —
- * also the body of `wlcrc_sim --worker`.
+ * also what a remote worker runs for each point it pulls.
  */
 ExperimentResult runSpecSerial(const ExperimentSpec &spec);
 
@@ -127,11 +97,10 @@ ExperimentResult runSpecSerial(const ExperimentSpec &spec);
 unsigned effectiveShards(const ExperimentSpec &spec);
 
 /**
- * Backend by CLI/env name: "serial", "thread", "process" or
- * "remote" (the latter two require @p workerBinary — wlcrc_sim for
- * process, wlcrc_worker for remote; remote spawns its workers
- * locally at the first run and listens on an ephemeral loopback
- * port, see runner/remote.hh for externally managed clusters).
+ * Backend by CLI/env name: "serial", "thread" or "remote". Remote
+ * requires @p workerBinary (wlcrc_worker): it spawns one worker per
+ * job locally at the first run and listens on an ephemeral loopback
+ * port; see runner/remote.hh for externally managed clusters.
  * @throws std::invalid_argument on unknown names or a missing
  *         worker binary.
  */

@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal strict JSON reader for the runner's machine-to-machine
- * paths: parsing worker-process reports (ProcessBackend) and result
- * cache entries back into ExperimentResults. The repo deliberately
+ * paths: parsing remote workers' Result reports and result cache
+ * entries back into ExperimentResults. The repo deliberately
  * has no external JSON dependency; this parser supports exactly the
  * documents the runner itself emits (objects, arrays, strings with
  * the reporter's escape set, numbers, booleans, null) and throws

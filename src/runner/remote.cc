@@ -195,6 +195,9 @@ struct RemoteBackend::Impl
     std::vector<std::thread> connThreads;
     uint64_t nextConnId = 0;
 
+    /** Whether this head ever spawned its own workers. */
+    bool fleetSpawned = false;
+    /** Spawned workers not yet reaped. */
     std::vector<pid_t> spawned;
     bool stopped = false;
 
@@ -609,8 +612,9 @@ struct RemoteBackend::Impl
         // The lock covers `spawned` against a stop() (destructor)
         // racing an in-flight run() from another thread.
         std::lock_guard lock(mutex);
-        if (opts.workerBinary.empty() || !spawned.empty())
+        if (opts.workerBinary.empty() || fleetSpawned)
             return;
+        fleetSpawned = true;
         unsigned n = opts.spawnWorkers;
         if (n == 0)
             n = jobs ? jobs : std::thread::hardware_concurrency();
@@ -636,6 +640,26 @@ struct RemoteBackend::Impl
             }
             spawned.push_back(pid);
         }
+    }
+
+    /**
+     * True once a spawned fleet can no longer do any work: every
+     * worker this head spawned has exited (reaped here, so stop()
+     * never waits on a recycled pid) and no connection is left. A
+     * head without spawned workers serves an external cluster that
+     * may still connect, so it never gives up. Called with the lock
+     * held.
+     */
+    bool
+    fleetDeadLocked()
+    {
+        if (!fleetSpawned)
+            return false;
+        std::erase_if(spawned, [](pid_t pid) {
+            const pid_t r = ::waitpid(pid, nullptr, WNOHANG);
+            return r == pid || (r < 0 && errno == ECHILD);
+        });
+        return spawned.empty() && conns.empty();
     }
 
     std::vector<ExperimentResult>
@@ -693,9 +717,15 @@ struct RemoteBackend::Impl
             // Draining callbacksInFlight before returning keeps
             // the caller's taskDone (and whatever it captures)
             // alive for every invocation.
+            bool fleetDead = false;
             while ((r.done < r.points.size() ||
                     callbacksInFlight > 0) &&
                    !finFlag) {
+                // With no worker left nothing can finish a point:
+                // fail the rest in-band instead of waiting forever.
+                fleetDead = fleetDeadLocked();
+                if (fleetDead)
+                    break;
                 scanStragglersLocked();
                 cv.wait_for(lock,
                             std::chrono::milliseconds(100));
@@ -709,8 +739,15 @@ struct RemoteBackend::Impl
                     ExperimentResult &res = results[slot[k]];
                     res.spec = *p.spec;
                     res.ok = false;
-                    res.error = "remote backend stopped before "
-                                "the point completed";
+                    if (fleetDead) {
+                        countLocked("no-live-worker");
+                        res.error = "remote backend: no live worker "
+                                    "(every spawned worker exited "
+                                    "before the point completed)";
+                    } else {
+                        res.error = "remote backend stopped before "
+                                    "the point completed";
+                    }
                 }
             }
         }

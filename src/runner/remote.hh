@@ -38,8 +38,13 @@
  *    loser is dropped ("duplicate-result"). Results are
  *    deterministic, so first-wins cannot change bytes.
  *  - A well-formed Result with ok=false is authoritative: the point
- *    failed in the replay path and is NOT retried — identical to
- *    ProcessBackend's in-band failure semantics.
+ *    failed in the replay path and is NOT retried — the same
+ *    in-band failure the serial and thread backends report.
+ *  - A head that spawned its workers and has outlived all of them
+ *    (none running, no connection open) fails every unfinished
+ *    point in-band ("no-live-worker") rather than waiting for a
+ *    worker that cannot come. A head with no spawned workers
+ *    serves an external cluster and keeps waiting.
  *  - A malformed frame or Result never takes the head down: named
  *    error count, best-effort Error frame, connection closed,
  *    issued points requeued.
@@ -48,8 +53,8 @@
  * work. Workers run runSpecSerial() on a parseSpec() round-trip of
  * the head's canonicalSpec() text — the identical computation the
  * serial backend performs in-process — and results return through
- * the same writeResultObject()/readResultObject() codec the process
- * backend uses, so serial/thread/process/remote are byte-identical
+ * the writeResultObject()/readResultObject() codec that also backs
+ * `wlcrc_sim --json`, so serial/thread/remote are byte-identical
  * (tests/remote_backend_test.cc enforces the full feature matrix).
  */
 
@@ -132,7 +137,7 @@ struct RemoteBackendOptions
  *
  * Specs that cannot cross a process boundary (closure hooks,
  * in-memory sources) transparently run inline on the calling
- * thread, exactly like ProcessBackend.
+ * thread, so a mixed grid still completes.
  */
 class RemoteBackend final : public ExecutionBackend
 {
@@ -156,7 +161,8 @@ class RemoteBackend final : public ExecutionBackend
     /**
      * Shut down: Fin to connected workers, close the listener and
      * all connections, reap spawned workers (SIGKILL after a short
-     * grace). Idempotent; the destructor calls it.
+     * grace; workers a run already reaped are not waited on
+     * again). Idempotent; the destructor calls it.
      */
     void stop();
 
@@ -165,7 +171,9 @@ class RemoteBackend final : public ExecutionBackend
      * "worker-died", "reissued", "duplicate-result",
      * "malformed-result", "worker-reported-error", "bad-hello",
      * "bad-magic", "bad-frame-type", "oversized-frame",
-     * "truncated-frame", "bad-cache-hash", "cache-put-failed".
+     * "truncated-frame", "bad-cache-hash", "cache-put-failed",
+     * "no-live-worker" (one per point failed because the spawned
+     * fleet died).
      * Absent key = zero (docs/distributed.md tabulates them).
      */
     std::map<std::string, uint64_t> errorCounts() const;

@@ -184,8 +184,8 @@ class TransactionSource
 
     /**
      * On-disk path backing this source, or "" for in-memory
-     * streams. A spec is process-serializable (ProcessBackend,
-     * wlcrc_sim --worker) only if its source has a path a child
+     * streams. A spec is process-serializable (it can go to a
+     * remote worker) only if its source has a path the worker
      * process can re-open.
      */
     virtual std::string filePath() const { return {}; }

@@ -1,25 +1,19 @@
 /**
  * @file
- * Execution-backend equivalence: serial, thread and process
- * execution of the same grid must produce byte-identical reports —
- * a backend relocates work, it never changes results. The process
- * cases exercise the real `wlcrc_sim --worker` protocol end to end
- * (spec temp file out, JSON report back), including in-band error
- * propagation and the inline fallback for closure-bearing specs.
+ * Execution-backend equivalence: serial and thread execution of the
+ * same grid must produce byte-identical reports — a backend
+ * relocates work, it never changes results. The out-of-process
+ * (remote) backend has its own suite in remote_backend_test.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 
 #include "runner/backend.hh"
 #include "runner/grid.hh"
 #include "runner/report.hh"
 #include "runner/runner.hh"
-#include "tracefile/source.hh"
-#include "tracefile/writer.hh"
-#include "wlcrc/factory.hh"
 
 namespace
 {
@@ -30,7 +24,6 @@ using runner::ExperimentResult;
 using runner::ExperimentRunner;
 using runner::ExperimentSpec;
 using runner::makeBackend;
-using runner::ProcessBackend;
 using runner::RunnerOptions;
 using runner::SerialBackend;
 using runner::ThreadBackend;
@@ -64,7 +57,7 @@ runWith(std::shared_ptr<const runner::ExecutionBackend> backend,
     return csvOf(ExperimentRunner(opts).run(grid));
 }
 
-TEST(Backends, SerialThreadAndProcessAreByteIdentical)
+TEST(Backends, SerialAndThreadAreByteIdentical)
 {
     const auto grid = smallGrid();
     const std::string thread =
@@ -72,45 +65,15 @@ TEST(Backends, SerialThreadAndProcessAreByteIdentical)
     EXPECT_EQ(runWith(std::make_shared<SerialBackend>(), grid),
               thread);
     EXPECT_EQ(runWith(nullptr, grid), thread) << "default backend";
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        thread);
-}
-
-TEST(Backends, ProcessBackendReplaysTraceFilesByteIdentically)
-{
-    namespace fs = std::filesystem;
-    const fs::path path =
-        fs::path(::testing::TempDir()) / "wlcrc_backend.trc";
-    {
-        tracefile::TraceFileWriter w(path.string(), 16);
-        trace::WriteTransaction t{};
-        for (uint64_t i = 0; i < 80; ++i) {
-            t.lineAddr = (i * 7) % 23;
-            t.newData.setWord(0, i * 0x9e3779b97f4a7c15ULL);
-            w.write(t);
-        }
-        w.close();
-    }
-    const auto grid =
-        ExperimentGrid()
-            .schemes({"Baseline", "WLCRC-16"})
-            .sources({tracefile::openTraceSource(path.string())})
-            .seed(5)
-            .shards(4);
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        runWith(std::make_shared<ThreadBackend>(), grid));
 }
 
 TEST(Backends, LifetimeSweepIsBackendAndJobCountInvariant)
 {
     // A lifetime sweep (leveler x endurance over a workload) runs
     // single-sharded but must still be byte-identical wherever and
-    // however parallel it executes — including forked wlcrc_sim
-    // workers, whose JSON report carries the full lifetime block.
+    // however parallel it executes (remote workers, whose JSON
+    // report carries the full lifetime block, are pinned by
+    // RemoteBackend.LeveledLifetimeSweepIsByteIdentical).
     const auto grid =
         ExperimentGrid()
             .schemes({"Baseline", "WLCRC-16"})
@@ -125,69 +88,8 @@ TEST(Backends, LifetimeSweepIsBackendAndJobCountInvariant)
         runWith(std::make_shared<ThreadBackend>(), grid);
     EXPECT_EQ(runWith(std::make_shared<SerialBackend>(), grid),
               thread);
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        thread);
     EXPECT_EQ(runWith(std::make_shared<ThreadBackend>(), grid, 1),
               runWith(std::make_shared<ThreadBackend>(), grid, 4));
-}
-
-TEST(Backends, ProcessBackendPropagatesWorkerErrorsInBand)
-{
-    ExperimentSpec good;
-    good.scheme = "Baseline";
-    good.workload = "lesl";
-    good.lines = 40;
-    ExperimentSpec bad = good;
-    bad.scheme = "no-such-scheme";
-
-    RunnerOptions opts;
-    opts.jobs = 2;
-    opts.backend = std::make_shared<ProcessBackend>(WLCRC_SIM_BIN);
-    const auto results =
-        ExperimentRunner(opts).run({good, bad});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_FALSE(results[1].ok);
-    EXPECT_NE(results[1].error.find("no-such-scheme"),
-              std::string::npos)
-        << results[1].error;
-}
-
-TEST(Backends, ProcessBackendFallsBackInlineForClosureSpecs)
-{
-    // codecFactory cannot cross a process boundary; the backend
-    // must run such specs inline and still match in-process output.
-    std::vector<runner::SchemeDef> defs = {
-        {"factory-baseline", [](const pcm::EnergyModel &e) {
-             return core::makeCodec("Baseline", e);
-         }}};
-    const auto grid = ExperimentGrid()
-                          .schemeDefs(defs)
-                          .workloads({"lesl"})
-                          .lines(50)
-                          .seed(2)
-                          .shards(2);
-    EXPECT_EQ(
-        runWith(std::make_shared<ProcessBackend>(WLCRC_SIM_BIN),
-                grid),
-        runWith(std::make_shared<ThreadBackend>(), grid));
-}
-
-TEST(Backends, BrokenWorkerBinaryFailsThePointNotTheRun)
-{
-    RunnerOptions opts;
-    opts.jobs = 1;
-    opts.backend =
-        std::make_shared<ProcessBackend>("/no/such/worker");
-    const auto results =
-        ExperimentRunner(opts).run(smallGrid().expand());
-    for (const auto &r : results) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_NE(r.error.find("process backend"),
-                  std::string::npos);
-    }
 }
 
 TEST(Backends, MakeBackendValidatesNames)
@@ -196,9 +98,10 @@ TEST(Backends, MakeBackendValidatesNames)
               std::string("serial"));
     EXPECT_EQ(makeBackend("thread")->name(),
               std::string("thread"));
-    EXPECT_EQ(makeBackend("process", "/bin/true")->name(),
-              std::string("process"));
+    // "process" is no backend: out-of-process runs are "remote".
     EXPECT_THROW(makeBackend("process"), std::invalid_argument);
+    EXPECT_THROW(makeBackend("process", "/bin/true"),
+                 std::invalid_argument);
     EXPECT_THROW(makeBackend("gpu"), std::invalid_argument);
 }
 

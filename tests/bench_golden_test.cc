@@ -18,8 +18,8 @@
  *
  * Execution backends and result caching extend the same guarantee:
  * every bench must match its golden under WLCRC_BENCH_BACKEND=serial
- * too, the process backend (child wlcrc_sim workers) is pinned to
- * the golden for a representative scheme sweep, and a cached re-run
+ * too, the remote backend (spawned wlcrc_worker processes) is pinned
+ * to the golden for a representative scheme sweep, and a cached re-run
  * must be byte-identical while replaying zero points.
  *
  * Refreshing goldens after an intended change:
@@ -251,11 +251,11 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
-// The process backend forks real wlcrc_sim workers; pin a full
+// The remote backend spawns real wlcrc_worker processes; pin a full
 // scheme×workload sweep to the same golden bytes. One
-// representative bench keeps suite runtime sane — backend_test
-// covers the protocol itself at unit scale.
-TEST(bench_backends, Fig08ProcessBackendMatchesGolden)
+// representative bench keeps suite runtime sane —
+// remote_backend_test covers the protocol itself at unit scale.
+TEST(bench_backends, Fig08RemoteBackendMatchesGolden)
 {
     if (std::getenv("WLCRC_UPDATE_GOLDEN"))
         GTEST_SKIP() << "goldens being refreshed";
@@ -265,8 +265,8 @@ TEST(bench_backends, Fig08ProcessBackendMatchesGolden)
     int exit_code = -1;
     const std::string out = capture(
         benchCommand("fig08_write_energy", 4,
-                     "WLCRC_BENCH_BACKEND=process "
-                     "WLCRC_WORKER_BIN=" WLCRC_SIM_BIN),
+                     "WLCRC_BENCH_BACKEND=remote "
+                     "WLCRC_WORKER_BIN=" WLCRC_WORKER_BIN),
         exit_code);
     ASSERT_EQ(exit_code, 0) << out;
     EXPECT_EQ(out, expected);
@@ -275,8 +275,8 @@ TEST(bench_backends, Fig08ProcessBackendMatchesGolden)
 // Lifetime replays always execute single-sharded (a leveler's
 // mapping spans the whole address space), but they still cross the
 // process boundary like any other spec: the sweep must reproduce
-// its golden bytes under forked wlcrc_sim workers too.
-TEST(bench_backends, LifetimeSweepProcessBackendMatchesGolden)
+// its golden bytes under spawned wlcrc_worker processes too.
+TEST(bench_backends, LifetimeSweepRemoteBackendMatchesGolden)
 {
     if (std::getenv("WLCRC_UPDATE_GOLDEN"))
         GTEST_SKIP() << "goldens being refreshed";
@@ -286,8 +286,8 @@ TEST(bench_backends, LifetimeSweepProcessBackendMatchesGolden)
     int exit_code = -1;
     const std::string out = capture(
         benchCommand("lifetime_sweep", 4,
-                     "WLCRC_BENCH_BACKEND=process "
-                     "WLCRC_WORKER_BIN=" WLCRC_SIM_BIN),
+                     "WLCRC_BENCH_BACKEND=remote "
+                     "WLCRC_WORKER_BIN=" WLCRC_WORKER_BIN),
         exit_code);
     ASSERT_EQ(exit_code, 0) << out;
     EXPECT_EQ(out, expected);

@@ -3,12 +3,13 @@
  * Distributed-backend equivalence and fault injection. The identity
  * half pins the contract that RemoteBackend only relocates work:
  * the same grid — synthesized, trace-sourced, leveled, lifetime —
- * produces byte-identical reports under serial, thread, process and
- * remote execution, at one worker and at four. The fault half
- * proves the sweep's bytes survive a hostile cluster: workers
- * SIGKILLed mid-point, workers hanging past the reissue deadline,
- * in-band ok=false results, and clients speaking garbage — each
- * mapped to a named error counter, never to a wrong or missing row.
+ * produces byte-identical reports under serial, thread and remote
+ * execution, at one worker and at four. The fault half proves the
+ * sweep's bytes survive a hostile cluster: workers SIGKILLed
+ * mid-point, workers hanging past the reissue deadline, in-band
+ * ok=false results, clients speaking garbage, and a spawned fleet
+ * that dies whole — each mapped to a named error counter, never to
+ * a wrong or missing row, and never to a hang.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -206,10 +208,6 @@ TEST(RemoteBackend, MatchesEveryOtherBackendOnTheSameGrid)
     const std::string thread =
         runWith(std::make_shared<ThreadBackend>(), grid);
     EXPECT_EQ(runWith(std::make_shared<runner::SerialBackend>(),
-                      grid),
-              thread);
-    EXPECT_EQ(runWith(std::make_shared<runner::ProcessBackend>(
-                          WLCRC_SIM_BIN),
                       grid),
               thread);
     EXPECT_EQ(runWith(spawningHead(1), grid), thread)
@@ -648,6 +646,74 @@ TEST(RemoteFaults, StopMidRunFailsUnfinishedPointsInBand)
         EXPECT_FALSE(r.ok);
         EXPECT_NE(r.error.find("stopped"), std::string::npos);
     }
+}
+
+/**
+ * Sweep smallGrid() on a head spawning @p workers copies of
+ * @p binary, all of which die, and check the sweep ends in-band
+ * within @p limit: every point ok=false for want of a live worker,
+ * counted once each. A head still waiting at the limit fails the
+ * test and is stopped, so a regression cannot stall the suite.
+ * @return the head's fault counters.
+ */
+std::map<std::string, uint64_t>
+expectDeadFleetFailsInBand(const std::string &binary,
+                           unsigned workers,
+                           std::chrono::seconds limit)
+{
+    RemoteBackendOptions opts;
+    opts.workerBinary = binary;
+    opts.spawnWorkers = workers;
+    auto head = std::make_shared<RemoteBackend>(std::move(opts));
+    RunnerOptions ropts;
+    ropts.jobs = 2;
+    ropts.backend = head;
+    auto sweep = std::async(std::launch::async, [&] {
+        return ExperimentRunner(ropts).run(smallGrid());
+    });
+    if (sweep.wait_for(limit) != std::future_status::ready) {
+        ADD_FAILURE() << "head still waiting after " << limit.count()
+                      << " s";
+        head->stop();
+    }
+    const auto results = sweep.get();
+    EXPECT_EQ(results.size(), smallGrid().expand().size());
+    for (const auto &r : results) {
+        EXPECT_FALSE(r.ok);
+        EXPECT_NE(r.error.find("no live worker"), std::string::npos)
+            << r.error;
+    }
+    auto counts = head->errorCounts();
+    EXPECT_EQ(counts["no-live-worker"], results.size());
+    return counts;
+}
+
+TEST(RemoteFaults, SpawnedFleetThatNeverStartsFailsInBand)
+{
+    // Every spawned worker dies at exec: nothing can ever answer.
+    expectDeadFleetFailsInBand("/no/such/worker", 2,
+                               std::chrono::seconds(10));
+}
+
+TEST(RemoteFaults, SpawnedFleetThatDiesMidSweepFailsInBand)
+{
+    // Every spawned worker SIGKILLs itself on its first point: each
+    // death requeues the point it held, and once the last worker is
+    // gone the rest must fail in-band.
+    namespace fs = std::filesystem;
+    const fs::path wrapper =
+        fs::path(::testing::TempDir()) / "wlcrc_doomed_worker.sh";
+    {
+        std::ofstream out(wrapper);
+        out << "#!/bin/sh\n"
+            << "exec '" << WLCRC_WORKER_BIN
+            << "' \"$@\" --kill-after 1\n";
+    }
+    fs::permissions(wrapper, fs::perms::owner_all,
+                    fs::perm_options::add);
+    auto counts = expectDeadFleetFailsInBand(
+        wrapper.string(), 3, std::chrono::seconds(30));
+    EXPECT_GE(counts["worker-died"], 1u);
 }
 
 TEST(RemoteFaults, CliHeadSurvivesAKilledWorker)

@@ -483,21 +483,15 @@ TEST(Server, WriteWithoutHelloIsRejectedByName)
 
 struct ServerProc
 {
-    FILE *pipe = nullptr;
+    test::OutputPipe pipe;
     uint16_t port = 0;
 
     /** Reads stdout to EOF (the final report) and reaps. */
     std::string
     finish()
     {
-        std::string out;
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
-            out.append(buf, n);
-        ::pclose(pipe);
-        pipe = nullptr;
-        return out;
+        int status = -1;
+        return test::finishOutputPipe(pipe, status);
     }
 };
 
@@ -508,11 +502,9 @@ spawnServer(const std::string &args)
     ServerProc proc;
     const std::string cmd =
         std::string(WLCRC_SERVE_BIN) + " " + args + " 2>/dev/null";
-    proc.pipe = ::popen(cmd.c_str(), "r");
-    if (!proc.pipe)
-        throw std::runtime_error("popen failed: " + cmd);
+    proc.pipe = test::openOutputPipe(cmd);
     char line[256];
-    if (!std::fgets(line, sizeof line, proc.pipe))
+    if (!std::fgets(line, sizeof line, proc.pipe.out))
         throw std::runtime_error("no banner from wlcrc_serve");
     const char *colon = std::strrchr(line, ':');
     if (!colon)

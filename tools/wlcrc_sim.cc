@@ -35,13 +35,12 @@
  *                          like --shards
  *   --decode-ahead <N>     stage N compressed blocks ahead of the
  *                          replay on a background decode thread
- *                          (sets $WLCRC_DECODE_AHEAD, so process-
- *                          backend workers inherit it; 0 = decode
+ *                          (sets $WLCRC_DECODE_AHEAD, so spawned
+ *                          workers inherit it; 0 = decode
  *                          synchronously; results are identical
  *                          either way)
  *   --backend <name>       execution backend: thread (default),
- *                          serial, process (child wlcrc_sim
- *                          workers) or remote (this process becomes
+ *                          serial or remote (this process becomes
  *                          the head node of a distributed sweep;
  *                          results identical for all)
  *   --listen <port>        (remote) listen on 127.0.0.1:<port> for
@@ -79,27 +78,33 @@
  *   --simd <kernel>        encode kernel: auto (default), scalar,
  *                          avx2 or neon; results are bit-identical
  *                          for every choice (also via $WLCRC_SIMD;
- *                          propagated to process-backend workers)
+ *                          propagated to spawned workers)
  *   --json                 report JSON instead of CSV
  *   --progress             stderr progress/ETA line while running
- *   --worker <specfile>    internal: run one serialized spec and
- *                          print its JSON report (ProcessBackend's
- *                          child protocol — see docs/cli.md)
  *   --help                 print usage and exit 0
+ *
+ * Numeric values are parsed strictly: a malformed, negative or
+ * out-of-range number exits 2 with the flag named.
  *
  * Output: one row/object per scheme with the paper's three metrics.
  * With a cache, a summary line "wlcrc_sim: cache <dir>: N points:
  * H hits, R replayed, S stored" goes to stderr.
  */
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/env.hh"
@@ -110,7 +115,6 @@
 #include "runner/report.hh"
 #include "runner/result_cache.hh"
 #include "runner/runner.hh"
-#include "runner/spec_codec.hh"
 #include "tracefile/block_codec.hh"
 #include "tracefile/source.hh"
 #include "tracefile/writer.hh"
@@ -132,7 +136,7 @@ struct Options
     std::string traceFormat = "v1";
     std::string traceCodec;
     std::string partition = "modulo";
-    std::string decodeAhead;
+    std::optional<uint64_t> decodeAhead;
     std::string backend = "thread";
     std::string cacheDir; // resolved from flag/env in main()
     std::string cacheRemote;
@@ -140,7 +144,6 @@ struct Options
     unsigned workers = 0;
     double reissueSec = 30.0;
     bool remoteFlags = false; //!< any --listen/--workers/--reissue-sec
-    std::string workerSpec;
     std::vector<std::string> levelers;
     std::string endurance;
     std::string wearCsv;
@@ -170,7 +173,7 @@ usage(const char *argv0)
         "[--trace-codec raw|lz|zstd]\n"
         "          [--lines N] [--seed S] [--jobs N] [--shards N] "
         "[--partition modulo|range] [--decode-ahead N]\n"
-        "          [--backend thread|serial|process|remote] "
+        "          [--backend thread|serial|remote] "
         "[--cache-dir D] [--no-cache]\n"
         "          [--listen PORT] [--workers N] "
         "[--reissue-sec S] [--cache-remote HOST:PORT]\n"
@@ -178,9 +181,44 @@ usage(const char *argv0)
         "[--s3 pJ] [--s4 pJ] [--json] [--progress]\n"
         "          [--simd auto|scalar|avx2|neon]\n"
         "          [--leveler CFG]... [--endurance CFG] "
-        "[--lifetime]\n"
-        "          [--worker SPECFILE] [--help]\n",
+        "[--lifetime] [--help]\n",
         argv0);
+}
+
+/**
+ * Strictly parse a numeric flag value: all of @p v must be one
+ * number in [lo, hi]. Integers take any strtoull base (decimal,
+ * 0x hex, leading-0 octal). Empty input, a minus sign on an
+ * unsigned value, trailing garbage, NaN/inf and out-of-range
+ * values are rejected, where bare strtoull/strtod would return 0
+ * or wrap without a word.
+ */
+template <typename T>
+bool
+parseNumber(const char *v, T lo, T hi, T &out)
+{
+    if (!v)
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    T value{};
+    if constexpr (std::is_floating_point_v<T>) {
+        value = std::strtod(v, &end);
+        if (!std::isfinite(value))
+            return false;
+    } else {
+        if (std::strchr(v, '-')) // strtoull negates, not rejects
+            return false;
+        const unsigned long long n = std::strtoull(v, &end, 0);
+        if (n > static_cast<unsigned long long>(hi))
+            return false;
+        value = static_cast<T>(n);
+    }
+    if (end == v || *end != '\0' || errno == ERANGE || value < lo ||
+        value > hi)
+        return false;
+    out = value;
+    return true;
 }
 
 std::optional<Options>
@@ -191,6 +229,20 @@ parse(int argc, char **argv)
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
+        };
+        // A numeric flag's value in [lo, hi], or an error naming
+        // the flag: a silently truncated port or a line count of 0
+        // from a typo would run the wrong experiment.
+        auto number = [&](auto &out, auto lo, auto hi,
+                          const char *what) {
+            using T = std::remove_reference_t<decltype(out)>;
+            const char *v = next();
+            if (parseNumber<T>(v, static_cast<T>(lo),
+                               static_cast<T>(hi), out))
+                return true;
+            std::fprintf(stderr, "%s needs %s, got \"%s\"\n",
+                         a.c_str(), what, v ? v : "");
+            return false;
         };
         if (a == "--scheme") {
             if (const char *v = next())
@@ -214,8 +266,10 @@ parse(int argc, char **argv)
             if (const char *v = next())
                 o.partition = v;
         } else if (a == "--decode-ahead") {
-            if (const char *v = next())
-                o.decodeAhead = v;
+            uint64_t blocks = 0;
+            if (!number(blocks, 0, UINT64_MAX, "a block count"))
+                return std::nullopt;
+            o.decodeAhead = blocks;
         } else if (a == "--backend") {
             if (const char *v = next())
                 o.backend = v;
@@ -226,56 +280,22 @@ parse(int argc, char **argv)
             if (const char *v = next())
                 o.cacheRemote = v;
         } else if (a == "--listen") {
-            // Validated strictly: a silently truncated port (or a
-            // non-numeric straggler deadline below) would steer
-            // the whole cluster somewhere unintended.
-            const char *v = next();
-            char *end = nullptr;
-            const unsigned long port =
-                v ? std::strtoul(v, &end, 10) : 0;
-            if (!v || end == v || *end != '\0' || port == 0 ||
-                port > 65535) {
-                std::fprintf(stderr,
-                             "--listen needs a port in 1..65535, "
-                             "got \"%s\"\n",
-                             v ? v : "");
+            if (!number(o.listenPort, 1, 65535, "a port in 1..65535"))
                 return std::nullopt;
-            }
-            o.listenPort = static_cast<unsigned>(port);
             o.remoteFlags = true;
         } else if (a == "--workers") {
-            const char *v = next();
-            char *end = nullptr;
-            const unsigned long n =
-                v ? std::strtoul(v, &end, 10) : 0;
-            if (!v || end == v || *end != '\0' || n == 0 ||
-                n > 4096) {
-                std::fprintf(stderr,
-                             "--workers needs a count in 1..4096, "
-                             "got \"%s\"\n",
-                             v ? v : "");
+            if (!number(o.workers, 1, 4096, "a count in 1..4096"))
                 return std::nullopt;
-            }
-            o.workers = static_cast<unsigned>(n);
             o.remoteFlags = true;
         } else if (a == "--reissue-sec") {
-            const char *v = next();
-            char *end = nullptr;
-            const double sec = v ? std::strtod(v, &end) : 0.0;
-            if (!v || end == v || *end != '\0' || !(sec > 0.0)) {
-                std::fprintf(stderr,
-                             "--reissue-sec needs a positive "
-                             "number of seconds, got \"%s\"\n",
-                             v ? v : "");
+            if (!number(o.reissueSec,
+                        std::numeric_limits<double>::denorm_min(),
+                        std::numeric_limits<double>::max(),
+                        "a positive number of seconds"))
                 return std::nullopt;
-            }
-            o.reissueSec = sec;
             o.remoteFlags = true;
         } else if (a == "--no-cache") {
             o.noCache = true;
-        } else if (a == "--worker") {
-            if (const char *v = next())
-                o.workerSpec = v;
         } else if (a == "--help") {
             o.help = true;
         } else if (a == "--random") {
@@ -287,20 +307,21 @@ parse(int argc, char **argv)
         } else if (a == "--progress") {
             o.progress = true;
         } else if (a == "--lines") {
-            if (const char *v = next())
-                o.lines = std::strtoull(v, nullptr, 0);
+            if (!number(o.lines, 0, UINT64_MAX, "a line count"))
+                return std::nullopt;
         } else if (a == "--seed") {
-            if (const char *v = next())
-                o.seed = std::strtoull(v, nullptr, 0);
+            if (!number(o.seed, 0, UINT64_MAX, "an unsigned seed"))
+                return std::nullopt;
         } else if (a == "--jobs") {
-            if (const char *v = next())
-                o.jobs = std::strtoul(v, nullptr, 0);
+            if (!number(o.jobs, 0, UINT_MAX, "a job count"))
+                return std::nullopt;
         } else if (a == "--shards") {
-            if (const char *v = next())
-                o.shards = std::strtoul(v, nullptr, 0);
+            if (!number(o.shards, 0, UINT_MAX, "a shard count"))
+                return std::nullopt;
         } else if (a == "--wear") {
-            if (const char *v = next())
-                o.wearEndurance = std::strtoull(v, nullptr, 0);
+            if (!number(o.wearEndurance, 0, UINT64_MAX,
+                        "an endurance in writes"))
+                return std::nullopt;
         } else if (a == "--wear-csv") {
             if (const char *v = next())
                 o.wearCsv = v;
@@ -315,18 +336,17 @@ parse(int argc, char **argv)
         } else if (a == "--simd") {
             if (const char *v = next())
                 o.simd = v;
-        } else if (a == "--s3") {
-            if (const char *v = next())
-                o.s3 = std::strtod(v, nullptr);
-        } else if (a == "--s4") {
-            if (const char *v = next())
-                o.s4 = std::strtod(v, nullptr);
+        } else if (a == "--s3" || a == "--s4") {
+            if (!number(a == "--s3" ? o.s3 : o.s4, 0,
+                        std::numeric_limits<double>::max(),
+                        "a non-negative energy in pJ"))
+                return std::nullopt;
         } else {
             usage(argv[0]);
             return std::nullopt;
         }
     }
-    if (o.help || !o.workerSpec.empty())
+    if (o.help)
         return o; // no stream/scheme validation applies
     if (o.schemes.empty())
         o.schemes.push_back("WLCRC-16");
@@ -337,7 +357,7 @@ parse(int argc, char **argv)
          o.traceFormat != "v3") ||
         (o.partition != "modulo" && o.partition != "range") ||
         (o.backend != "thread" && o.backend != "serial" &&
-         o.backend != "process" && o.backend != "remote")) {
+         o.backend != "remote")) {
         usage(argv[0]);
         return std::nullopt;
     }
@@ -439,33 +459,6 @@ persistTrace(const Options &o)
     }
 }
 
-/**
- * Child side of the ProcessBackend protocol: run the serialized
- * spec on this process (serially — the parent owns parallelism
- * across points) and print the standard one-element JSON report.
- * Replay failures travel in-band as ok=false objects with exit 0;
- * a non-zero exit means the protocol itself broke (unreadable or
- * malformed spec file).
- */
-int
-workerMain(const std::string &specFile)
-{
-    std::ifstream in(specFile, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "error: cannot read spec file %s\n",
-                     specFile.c_str());
-        return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    const runner::ExperimentSpec spec =
-        runner::parseSpec(text.str());
-    const runner::ExperimentResult res =
-        runner::runSpecSerial(spec);
-    runner::JsonReporter().write(std::cout, {res});
-    return 0;
-}
-
 } // namespace
 
 int
@@ -482,29 +475,16 @@ main(int argc, char **argv)
     try {
         if (!opts->simd.empty()) {
             // Resolve now (validates the name, throws on typos) and
-            // export the concrete kernel so process-backend workers
-            // inherit the same choice.
+            // export the concrete kernel so spawned workers inherit
+            // the same choice.
             simd::setKernelFromText(opts->simd);
             ::setenv("WLCRC_SIMD",
                      simd::kernelName(simd::activeKernel()), 1);
         }
-        if (!opts->decodeAhead.empty()) {
-            // Validate here (envU64 would otherwise throw deep in a
-            // cursor open) and export, so process-backend workers
-            // stage the same depth.
-            char *end = nullptr;
-            std::strtoull(opts->decodeAhead.c_str(), &end, 10);
-            if (end != opts->decodeAhead.c_str() +
-                           opts->decodeAhead.size() ||
-                opts->decodeAhead.empty())
-                throw std::invalid_argument(
-                    "--decode-ahead wants a block count, got '" +
-                    opts->decodeAhead + "'");
+        // Exported, so spawned workers stage the same depth.
+        if (opts->decodeAhead)
             ::setenv("WLCRC_DECODE_AHEAD",
-                     opts->decodeAhead.c_str(), 1);
-        }
-        if (!opts->workerSpec.empty())
-            return workerMain(opts->workerSpec);
+                     std::to_string(*opts->decodeAhead).c_str(), 1);
         runner::DeviceConfig device;
         device.s3 = opts->s3;
         device.s4 = opts->s4;
@@ -593,8 +573,7 @@ main(int argc, char **argv)
                          static_cast<unsigned>(remote->port()));
             ropts.backend = remote;
         } else if (opts->backend != "thread") {
-            ropts.backend =
-                runner::makeBackend(opts->backend, argv[0]);
+            ropts.backend = runner::makeBackend(opts->backend);
         }
 
         runner::RunStats stats;
@@ -637,14 +616,17 @@ main(int argc, char **argv)
                          cacheLabel.c_str(),
                          stats.summary().c_str());
 
+        bool failed = false;
         for (const auto &r : results) {
             if (!r.ok) {
                 std::fprintf(stderr, "error: %s: %s\n",
                              r.spec.label().c_str(),
                              r.error.c_str());
-                return 1;
+                failed = true;
             }
         }
+        if (failed)
+            return 1;
         if (!opts->wearCsv.empty()) {
             std::ofstream out(opts->wearCsv,
                               std::ios::binary | std::ios::trunc);
