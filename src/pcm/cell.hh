@@ -81,6 +81,16 @@ class CellMask
         bits_[i >> 6] |= uint64_t{1} << (i & 63);
     }
 
+    /** True iff any bit is set. */
+    bool
+    any() const
+    {
+        uint64_t acc = 0;
+        for (unsigned w = 0; w < words(); ++w)
+            acc |= bits_[w];
+        return acc != 0;
+    }
+
     /** Raw 64-bit chunk @p w, for word-at-a-time scans. */
     uint64_t word(unsigned w) const { return bits_[w]; }
     unsigned words() const { return (size_ + 63) / 64; }

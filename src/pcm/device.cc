@@ -49,17 +49,12 @@ Device::writeLine(uint64_t addr, std::vector<State> &stored,
                   const TargetLine &target, bool verify_n_restore)
 {
     assert(target.size() == cellsPerLine_);
-    assert(&stored == &line(addr));
-    if (wear_) {
-        CellMask updated;
-        updated.reset(cellsPerLine_);
-        for (unsigned c = 0; c < cellsPerLine_; ++c)
-            if (stored[c] != target[c])
-                updated.set(c);
+    assert(tryLine(addr) == &stored);
+    CellMask updated;
+    const WriteStats st = unit_.program(stored, target, rng_,
+                                        verify_n_restore, &updated);
+    if (wear_)
         wear_->recordLine(addr, updated);
-    }
-    const WriteStats st =
-        unit_.program(stored, target, rng_, verify_n_restore);
     totals_ += st;
     ++writes_;
     return st;

@@ -1,5 +1,6 @@
 #include "disturbance.hh"
 
+#include <array>
 #include <bit>
 #include <cstddef>
 
@@ -44,43 +45,76 @@ DisturbanceModel::sample(const State *cells, std::size_t n,
                          CellMask *disturbed) const
 {
     assert(n == updated.size());
-    if (disturbed)
-        disturbed->reset(static_cast<unsigned>(n));
-    unsigned errors = 0;
-    // Only idle cells with at least one programmed neighbour can be
-    // disturbed; compute that candidate set word-at-a-time instead
-    // of scanning every cell. Candidates are visited in ascending
-    // cell order, so the rng draw sequence matches a linear scan.
+    assert(n <= maxLineCells);
+    CellMask unused;
+    CellMask &out = disturbed ? *disturbed : unused;
+    out.reset(static_cast<unsigned>(n));
+
+    // Pass 1: only idle cells with at least one programmed neighbour
+    // can be disturbed. Build that candidate set word-at-a-time and
+    // record, in ascending cell order, each candidate's draw count:
+    // one per programmed neighbour if its state's rate is live.
+    // Every draw pairs a candidate with a distinct programmed
+    // neighbour, so the total is at most min(2 idle, 2 programmed)
+    // <= n draws.
+    std::array<uint16_t, maxLineCells> candCell;
+    std::array<uint8_t, maxLineCells> candDraws;
+    unsigned ncand = 0;
+    unsigned ndraws = 0;
     const unsigned nw = updated.words();
     for (unsigned w = 0; w < nw; ++w) {
         const uint64_t u = updated.word(w);
         const uint64_t lo = w ? updated.word(w - 1) : 0;
         const uint64_t hi = w + 1 < nw ? updated.word(w + 1) : 0;
-        uint64_t cand =
-            ((u << 1) | (u >> 1) | (lo >> 63) | (hi << 63)) & ~u;
+        const uint64_t left = (u << 1) | (lo >> 63);
+        const uint64_t right = (u >> 1) | (hi << 63);
+        uint64_t cand = (left | right) & ~u;
         if (static_cast<std::size_t>(w + 1) * 64 > n) {
             // Trim neighbour bits past the end of the line.
             cand &= ~uint64_t{0} >>
                     (static_cast<std::size_t>(w + 1) * 64 - n);
         }
         while (cand) {
-            const unsigned i =
-                w * 64 +
+            const unsigned b =
                 static_cast<unsigned>(std::countr_zero(cand));
             cand &= cand - 1;
-            const double p = der_[stateIndex(cells[i])];
-            if (p <= 0.0)
-                continue;
-            const unsigned exposures = resetNeighbours(updated, i);
-            bool hit = false;
-            for (unsigned e = 0; e < exposures; ++e)
-                hit |= rng.chance(p);
-            if (hit) {
-                ++errors;
-                if (disturbed)
-                    disturbed->set(i);
-            }
+            const unsigned i = w * 64 + b;
+            const unsigned k =
+                live_[stateIndex(cells[i])] *
+                static_cast<unsigned>(((left >> b) & 1) +
+                                      ((right >> b) & 1));
+            candCell[ncand] = static_cast<uint16_t>(i);
+            candDraws[ncand] = static_cast<uint8_t>(k);
+            ++ncand;
+            ndraws += k;
         }
+    }
+
+    // All draws in one loop, in the order the candidates consume
+    // them. Two zero pads: pass 2 reads a candidate's second slot
+    // whatever its draw count and masks it out.
+    std::array<uint64_t, maxLineCells + 2> draws;
+    for (unsigned j = 0; j < ndraws; ++j)
+        draws[j] = rng.next() >> 11;
+    draws[ndraws] = 0;
+    draws[ndraws + 1] = 0;
+
+    // Pass 2: a candidate is hit iff any of its draws falls under
+    // its state's threshold. A candidate with no draws has a dead
+    // rate, hence threshold 0, so its first compare is false.
+    uint64_t *bits = out.rawWords();
+    unsigned errors = 0;
+    unsigned j = 0;
+    for (unsigned c = 0; c < ncand; ++c) {
+        const unsigned i = candCell[c];
+        const unsigned k = candDraws[c];
+        const uint64_t t = threshold_[stateIndex(cells[i])];
+        const unsigned hit =
+            static_cast<unsigned>(draws[j] < t) |
+            ((k >> 1) & static_cast<unsigned>(draws[j + 1] < t));
+        j += k;
+        bits[i >> 6] |= uint64_t{hit} << (i & 63);
+        errors += hit;
     }
     return errors;
 }

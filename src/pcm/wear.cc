@@ -1,5 +1,6 @@
 #include "wear.hh"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -15,10 +16,9 @@ WearSummary::imbalance() const
                : 0.0;
 }
 
-void
-WearTracker::recordProgram(uint64_t addr, unsigned cell)
+std::vector<uint32_t> &
+WearTracker::lineCounts(uint64_t addr)
 {
-    assert(cell < cellsPerLine_);
     auto it = wear_.find(addr);
     if (it == wear_.end()) {
         it = wear_
@@ -26,7 +26,14 @@ WearTracker::recordProgram(uint64_t addr, unsigned cell)
                           std::vector<uint32_t>(cellsPerLine_, 0))
                  .first;
     }
-    ++it->second[cell];
+    return it->second;
+}
+
+void
+WearTracker::recordProgram(uint64_t addr, unsigned cell)
+{
+    assert(cell < cellsPerLine_);
+    ++lineCounts(addr)[cell];
 }
 
 void
@@ -44,9 +51,16 @@ void
 WearTracker::recordLine(uint64_t addr, const CellMask &updated)
 {
     assert(updated.size() == cellsPerLine_);
-    for (unsigned c = 0; c < cellsPerLine_; ++c) {
-        if (updated.test(c))
-            recordProgram(addr, c);
+    if (!updated.any())
+        return; // an unprogrammed line stays untracked
+    uint32_t *counts = lineCounts(addr).data();
+    for (unsigned w = 0; w < updated.words(); ++w) {
+        uint64_t bits = updated.word(w);
+        while (bits) {
+            ++counts[w * 64 +
+                     static_cast<unsigned>(std::countr_zero(bits))];
+            bits &= bits - 1;
+        }
     }
 }
 

@@ -50,7 +50,8 @@ class WearTracker
     /** Record a whole-line update mask. */
     void recordLine(uint64_t addr, const std::vector<bool> &updated);
 
-    /** Allocation-free variant used by the device's write path. */
+    /** Mask variant used by the device's write path: one hash
+     *  lookup per line, none for an empty mask. */
     void recordLine(uint64_t addr, const CellMask &updated);
 
     /**
@@ -100,6 +101,9 @@ class WearTracker
     unsigned cellsPerLine() const { return cellsPerLine_; }
 
   private:
+    /** Counts of line @p addr, zero-filled on first touch. */
+    std::vector<uint32_t> &lineCounts(uint64_t addr);
+
     unsigned cellsPerLine_;
     std::unordered_map<uint64_t, std::vector<uint32_t>> wear_;
 };

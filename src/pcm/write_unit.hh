@@ -9,6 +9,20 @@
  * states using differential write, and reports energy, updated cells
  * and write-disturbance errors split into data/aux components — the
  * three metrics evaluated throughout the paper.
+ *
+ * The per-write accounting has no data-dependent branches. Update
+ * and disturbance counts are popcounts of the difference and
+ * disturbed masks against TargetLine::auxWord(). Write energy is a
+ * per-target-state sum, count(state) * programEnergy(state), which
+ * equals the cell-by-cell ascending sum bit for bit whenever every
+ * programEnergy() is an integer with |E| * maxLineCells < 2^53: every
+ * partial sum is then an exact integer, whatever the order. That
+ * holds for Table II and every Figure 14 level. Other energy models
+ * (e.g. 153.3 pJ) keep the ascending per-cell sum, made branch-free
+ * by adding each cell's energy to one side and +0.0 to the other.
+ * WriteUnit decides which once, at construction. The cell-by-cell
+ * formulation is kept as a test reference in
+ * pcm/program_reference.hh.
  */
 
 #ifndef WLCRC_PCM_WRITE_UNIT_HH
@@ -85,6 +99,22 @@ class TargetLine
                ((auxBits_[i >> 6] >> (i & 63)) & 1);
     }
 
+    /**
+     * aux() of cells [64w, 64w + 64) as one word (bit b is
+     * aux(64w + b)): the embedded aux bits merged with the trailing
+     * region from auxStart(). Bits past size() are unspecified.
+     */
+    uint64_t
+    auxWord(unsigned w) const
+    {
+        const unsigned base = w * 64;
+        const unsigned from =
+            auxStart_ > base ? std::min(auxStart_ - base, 64u) : 0;
+        const uint64_t trailing =
+            from < 64 ? ~uint64_t{0} << from : 0;
+        return auxBits_[w] | trailing;
+    }
+
     const State *states() const { return cells_.data(); }
     /** Writable cell storage (SIMD symbol-mapping kernels). */
     State *states() { return cells_.data(); }
@@ -141,9 +171,8 @@ struct WriteStats
 class WriteUnit
 {
   public:
-    WriteUnit(const EnergyModel &energy, const DisturbanceModel &disturb)
-        : energy_(energy), disturb_(disturb)
-    {}
+    WriteUnit(const EnergyModel &energy,
+              const DisturbanceModel &disturb);
 
     /**
      * Program @p stored toward @p target with differential write.
@@ -161,10 +190,13 @@ class WriteUnit
      * @param target  desired states + aux mask (sizes must match).
      * @param rng     randomness for disturbance sampling.
      * @param verify_n_restore  run the VnR repair loop.
+     * @param updated  out (optional): the cells this write
+     *                 programmed (the first pass, not VnR repairs).
      */
     WriteStats program(std::vector<State> &stored,
                        const TargetLine &target, Rng &rng,
-                       bool verify_n_restore = false) const;
+                       bool verify_n_restore = false,
+                       CellMask *updated = nullptr) const;
 
     /**
      * Deterministic variant: disturbance errors are accumulated as
@@ -177,9 +209,20 @@ class WriteUnit
     const EnergyModel &energyModel() const { return energy_; }
     const DisturbanceModel &disturbanceModel() const { return disturb_; }
 
+    /** True iff energies are summed per state (see the file
+     *  comment); false selects the ascending per-cell sum. */
+    bool exactEnergySums() const { return exactEnergy_; }
+
   private:
+    /** Program differing cells; charge energy and updates. */
+    void applyDifferential(std::vector<State> &stored,
+                           const TargetLine &target, WriteStats &st,
+                           CellMask &updated) const;
+
     EnergyModel energy_;
     DisturbanceModel disturb_;
+    std::array<double, numStates> programPj_{};
+    bool exactEnergy_ = false;
 };
 
 } // namespace wlcrc::pcm

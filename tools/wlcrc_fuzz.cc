@@ -23,6 +23,13 @@
  * exception or a bounded return — never a crash or an out-of-bounds
  * read (the ASan/UBSan CI legs run this binary to back that claim).
  *
+ * A seeded program stage follows: random stored/target lines at
+ * word-edge sizes, random aux layouts, DER tables mixing dead,
+ * certain, subnormal and NaN rates, integer and fractional energy
+ * models, with and without Verify-n-Restore, must write exactly as
+ * the serial reference in pcm/program_reference.hh does (WriteStats
+ * bytes, stored cells, update/disturbed masks, rng state).
+ *
  * A seeded WRK1 stage follows: an in-process distributed-sweep head
  * (runner/remote.hh) is bombarded with hostile client streams —
  * raw garbage, random frame types, oversized and truncated frame
@@ -44,9 +51,12 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,6 +73,7 @@
 #include "net/frame.hh"
 #include "pcm/disturbance.hh"
 #include "pcm/energy_model.hh"
+#include "pcm/program_reference.hh"
 #include "runner/remote.hh"
 #include "trace/replay.hh"
 #include "trace/workload.hh"
@@ -87,9 +98,10 @@ usage(std::FILE *to)
         "Differential fuzzer: encodes random lines under every\n"
         "available SIMD kernel and the scalar-scoring test hook,\n"
         "failing loudly on any bit difference from the scalar\n"
-        "reference. Seeded CRC-32 kernel, LZ round-trip/mutation\n"
-        "and hostile WRK1 client stages run first. Exits 0 on a\n"
-        "clean run, 1 on a mismatch.\n");
+        "reference. Seeded CRC-32 kernel, LZ round-trip/mutation,\n"
+        "device program (against its serial reference) and hostile\n"
+        "WRK1 client stages run first. Exits 0 on a clean run, 1 on\n"
+        "a mismatch.\n");
 }
 
 std::vector<Kernel>
@@ -394,6 +406,89 @@ lzFuzzCase(uint64_t iseed, LzScratch &scratch)
     return true;
 }
 
+/** A rate that lands on one of the sampler's edges, or not. */
+double
+fuzzRate(Rng &rng)
+{
+    switch (rng.nextBelow(8)) {
+    case 0:
+        return 0.0;
+    case 1:
+        return std::numeric_limits<double>::denorm_min();
+    case 2:
+        return 0x1.0p-53;
+    case 3:
+        return 1.0;
+    case 4:
+        return std::numeric_limits<double>::quiet_NaN();
+    case 5:
+        return rng.nextDouble();
+    default:
+        return rng.nextDouble() * 0.3;
+    }
+}
+
+/**
+ * One seeded device-program case: the branch-free write path against
+ * its serial reference, through WriteUnit::program and directly
+ * through DisturbanceModel::sample.
+ * @return false (after a report) on a mismatch.
+ */
+bool
+programFuzzCase(uint64_t iseed)
+{
+    static constexpr unsigned edgeSizes[] = {1,   63,  64, 65,
+                                             256, 257, 768};
+    Rng rng(iseed);
+    const unsigned n =
+        rng.chance(0.5)
+            ? edgeSizes[rng.nextBelow(std::size(edgeSizes))]
+            : static_cast<unsigned>(1 + rng.nextBelow(pcm::maxLineCells));
+    std::array<double, pcm::numStates> der;
+    for (double &p : der)
+        p = fuzzRate(rng);
+    // Integer (exact per-state sums) or fractional (ordered sums).
+    const double s3 = rng.chance(0.5)
+                          ? static_cast<double>(rng.nextBelow(600))
+                          : rng.nextDouble() * 600;
+    const double s4 = rng.chance(0.5)
+                          ? static_cast<double>(rng.nextBelow(600))
+                          : rng.nextDouble() * 600;
+    const pcm::DisturbanceModel model(der);
+    const pcm::WriteUnit unit(
+        pcm::EnergyModel::withHighStateEnergies(s3, s4), model);
+    // VnR only where the repair loop cannot spread without end.
+    bool vnr = rng.chance(0.5);
+    for (const double p : der)
+        vnr = vnr && !(p > 0.3);
+
+    std::vector<State> stored;
+    pcm::TargetLine target;
+    pcm::reference::randomCase(rng, n, stored, target);
+    std::string diff =
+        pcm::reference::diffProgram(unit, stored, target, rng.next(), vnr);
+    if (diff.empty()) {
+        pcm::CellMask updated;
+        updated.reset(n);
+        const double density = rng.nextDouble();
+        for (unsigned i = 0; i < n; ++i)
+            if (rng.chance(density))
+                updated.set(i);
+        diff = pcm::reference::diffSample(model, stored, updated,
+                                          rng.next());
+    }
+    if (!diff.empty()) {
+        std::fprintf(stderr,
+                     "MISMATCH (program): %s; %u cells, der %a %a %a "
+                     "%a, s3 %a s4 %a, vnr %d (iteration seed %llu)\n",
+                     diff.c_str(), n, der[0], der[1], der[2], der[3],
+                     s3, s4, vnr ? 1 : 0,
+                     static_cast<unsigned long long>(iseed));
+        return false;
+    }
+    return true;
+}
+
 /** Loopback socket to the fuzzed head (100 ms recv timeout). */
 int
 wrk1Connect(uint16_t port)
@@ -625,6 +720,9 @@ main(int argc, char **argv)
             if (!lzFuzzCase(childSeed(seed ^ 0x6c7aull, iter),
                             lzScratch))
                 return 1;
+        for (uint64_t iter = 0; iter < iters; ++iter)
+            if (!programFuzzCase(childSeed(seed ^ 0x70726dull, iter)))
+                return 1;
 
         // WRK1 stage: hostile client streams against an idle
         // distributed-sweep head. Connections are cheap on
@@ -723,9 +821,10 @@ main(int argc, char **argv)
 
         std::fprintf(stderr,
                      "ok: %llu crc cases + %llu lz cases + %llu "
-                     "hostile wrk1 streams (%llu named errors) + "
-                     "%llu encodes + %zu replay streams, all "
-                     "kernels bit-identical\n",
+                     "program cases + %llu hostile wrk1 streams "
+                     "(%llu named errors) + %llu encodes + %zu replay "
+                     "streams, all kernels bit-identical\n",
+                     static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(wrk1Cases),
