@@ -20,8 +20,11 @@
  * holds for Table II and every Figure 14 level. Other energy models
  * (e.g. 153.3 pJ) keep the ascending per-cell sum, made branch-free
  * by adding each cell's energy to one side and +0.0 to the other.
- * WriteUnit decides which once, at construction. The cell-by-cell
- * formulation is kept as a test reference in
+ * That sum alone would be exact for every model, but it costs a
+ * dependent add per updated cell, so the per-state sum is kept for
+ * lines where most cells change (docs/architecture.md has the
+ * measurement). WriteUnit decides which once, at construction.
+ * The cell-by-cell formulation is kept as a test reference in
  * pcm/program_reference.hh.
  */
 
