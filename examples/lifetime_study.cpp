@@ -2,24 +2,19 @@
  * @file
  * lifetime_study: endurance-centric exploration.
  *
- *   1. runs the end-to-end system model (core stream -> L2 ->
- *      controller -> PCM) with WLCRC-16 and reports controller and
- *      device statistics;
- *   2. sweeps the multi-objective threshold T (Section VIII-D) to
+ *   1. sweeps the multi-objective threshold T (Section VIII-D) to
  *      show the energy/endurance trade-off;
- *   3. demonstrates the Verify-n-Restore loop converging on a
+ *   2. demonstrates the Verify-n-Restore loop converging on a
  *      disturbance-heavy write pattern.
  *
- *   ./build/examples/lifetime_study [workload] [accesses]
+ *   ./build/examples/lifetime_study [workload]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "memsys/system.hh"
 #include "pcm/write_unit.hh"
 #include "trace/replay.hh"
-#include "wlcrc/factory.hh"
+#include "trace/workload.hh"
 #include "wlcrc/wlcrc_codec.hh"
 
 int
@@ -28,45 +23,14 @@ main(int argc, char **argv)
     using namespace wlcrc;
 
     const std::string workload = argc > 1 ? argv[1] : "milc";
-    const uint64_t accesses =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 50000;
-
-    const pcm::SystemConfig cfg;
     const pcm::EnergyModel energy;
     const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
 
-    // 1. End-to-end pipeline.
     try {
-        const auto codec = core::makeCodec("WLCRC-16", energy);
         const auto &profile =
             trace::WorkloadProfile::byName(workload);
-        memsys::PcmSystem sys(cfg, *codec, unit, profile, 99);
-        sys.runAccesses(accesses);
-        sys.finish();
 
-        const auto &mc = sys.controller();
-        const auto &dev = mc.device();
-        std::printf("=== end-to-end (%s, %llu accesses) ===\n",
-                    workload.c_str(),
-                    static_cast<unsigned long long>(accesses));
-        std::printf("L2: %llu hits, %llu misses, %llu writebacks\n",
-                    (unsigned long long)sys.l2().hits(),
-                    (unsigned long long)sys.l2().misses(),
-                    (unsigned long long)sys.l2().writebacks());
-        std::printf("controller: %llu reads, %llu writes, "
-                    "mean read latency %.0f cycles, %llu drain "
-                    "cycles\n",
-                    (unsigned long long)mc.stats().readsServiced,
-                    (unsigned long long)mc.stats().writesServiced,
-                    mc.stats().readLatency.mean(),
-                    (unsigned long long)mc.stats().drainCycles);
-        std::printf("PCM: %.1f pJ and %.1f updated cells per "
-                    "write\n\n",
-                    dev.totals().totalEnergyPj() / dev.writeCount(),
-                    double(dev.totals().totalUpdated()) /
-                        dev.writeCount());
-
-        // 2. Multi-objective threshold sweep.
+        // 1. Multi-objective threshold sweep.
         std::printf("=== multi-objective sweep (%s) ===\n",
                     workload.c_str());
         std::printf("%-10s %12s %14s\n", "T", "energy(pJ)",
@@ -81,7 +45,7 @@ main(int argc, char **argv)
                         rep.result().updatedCells.mean());
         }
 
-        // 3. Verify-n-Restore on a worst-case pattern.
+        // 2. Verify-n-Restore on a worst-case pattern.
         std::printf("\n=== Verify-n-Restore convergence ===\n");
         std::vector<pcm::State> cells(256, pcm::State::S1);
         pcm::TargetLine target(256);

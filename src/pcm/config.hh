@@ -3,10 +3,9 @@
  * System configuration constants from the paper's Table II.
  *
  * The trace-driven evaluation only depends on the data-path models
- * (energy, DER), but the memory-system substrate (memsys/) consumes
- * the topology and queueing parameters below so the end-to-end
- * pipeline mirrors the paper's setup: 8-core 4 GHz CMP, 2 MB private
- * L2 per core, 32 GB MLC PCM main memory, 2 channels x 2 DIMMs x 16
+ * (energy, DER). The topology and queueing parameters below record
+ * the rest of the paper's setup: 8-core 4 GHz CMP, 2 MB private L2
+ * per core, 32 GB MLC PCM main memory, 2 channels x 2 DIMMs x 16
  * banks, 32-entry write queue with write pausing and an 80 % drain
  * threshold.
  */

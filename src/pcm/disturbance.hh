@@ -18,8 +18,8 @@
  * loop, and pass 2 decides each hit as an integer compare against a
  * per-state threshold (see drawThreshold()). The draw sequence, the
  * hits and the rng's final state are exactly those of the
- * cell-by-cell formulation in pcm/program_reference.hh, which tests
- * hold it to.
+ * cell-by-cell formulation in the test-only oracle
+ * tests/support/pcm/program_reference.hh, which tests hold it to.
  */
 
 #ifndef WLCRC_PCM_DISTURBANCE_HH

@@ -23,6 +23,7 @@ WriteStats::operator+=(const WriteStats &o)
     dataDisturbed += o.dataDisturbed;
     auxDisturbed += o.auxDisturbed;
     vnrIterations += o.vnrIterations;
+    vnrCapped += o.vnrCapped;
     return *this;
 }
 
@@ -158,8 +159,13 @@ WriteUnit::program(std::vector<State> &stored, const TargetLine &target,
 
     // Iterative Verify-n-Restore: re-program disturbed cells; the
     // repair RESETs may disturb further idle cells. The paper reports
-    // this converging in 3-5 iterations.
+    // this converging in 3-5 iterations; a table that never converges
+    // stops at the cap.
     while (errors) {
+        if (st.vnrIterations >= maxVnrIterations) {
+            st.vnrCapped = 1;
+            break;
+        }
         ++st.vnrIterations;
         const CellMask repairing = disturbed;
         errors = disturb_.sample(stored.data(), stored.size(),

@@ -24,8 +24,8 @@
  * dependent add per updated cell, so the per-state sum is kept for
  * lines where most cells change (docs/architecture.md has the
  * measurement). WriteUnit decides which once, at construction.
- * The cell-by-cell formulation is kept as a test reference in
- * pcm/program_reference.hh.
+ * The cell-by-cell formulation is kept as a test-only oracle in
+ * tests/support/pcm/program_reference.hh.
  */
 
 #ifndef WLCRC_PCM_WRITE_UNIT_HH
@@ -155,6 +155,9 @@ struct WriteStats
     unsigned dataDisturbed = 0;  //!< disturbance errors in data cells
     unsigned auxDisturbed = 0;   //!< disturbance errors in aux cells
     unsigned vnrIterations = 0;  //!< Verify-n-Restore passes needed
+    /** 1 when VnR stopped at WriteUnit::maxVnrIterations with cells
+     *  still disturbed (summed, it counts capped writes). */
+    unsigned vnrCapped = 0;
 
     double totalEnergyPj() const { return dataEnergyPj + auxEnergyPj; }
     unsigned totalUpdated() const { return dataUpdated + auxUpdated; }
@@ -174,6 +177,16 @@ struct WriteStats
 class WriteUnit
 {
   public:
+    /**
+     * Bound on a write's Verify-n-Restore passes. The paper reports
+     * 3-5; the golden runs peak at 15 and 100k-write random sweeps at
+     * 17, so the bound changes no converging write. It ends the loop
+     * on a DER table that cannot converge (a certain disturbance of
+     * the state every repair RESETs to), which then reports
+     * WriteStats::vnrCapped.
+     */
+    static constexpr unsigned maxVnrIterations = 64;
+
     WriteUnit(const EnergyModel &energy,
               const DisturbanceModel &disturb);
 
@@ -184,7 +197,8 @@ class WriteUnit
      * first-pass disturbance errors are sampled and reported in the
      * stats (this is the quantity Figures 10/13 plot); when
      * @p verify_n_restore is set, disturbed cells are then repaired
-     * iteratively until a pass completes without new disturbances,
+     * iteratively until a pass completes without new disturbances
+     * or maxVnrIterations passes ran (WriteStats::vnrCapped),
      * with repair energy *not* added to the reported write energy
      * (the paper reports raw write energy and treats VnR as a
      * correction mechanism).

@@ -12,13 +12,11 @@
 #include <stdexcept>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "net/conn_server.hh"
 #include "net/frame.hh"
 #include "runner/json_mini.hh"
 #include "runner/report.hh"
@@ -54,30 +52,21 @@ sendError(int fd, const char *name)
     sendF(fd, WorkFrame::Error, name, std::strlen(name));
 }
 
-/** Connect to @p host:@p port. @throws std::runtime_error. */
+/**
+ * Connect to the head at @p host:@p port and say Hello.
+ * @throws std::runtime_error, prefixed with @p who.
+ */
 int
-connectTo(const std::string &host, uint16_t port)
+connectHead(const std::string &host, uint16_t port, const char *who)
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        throw std::runtime_error("socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    const int fd = net::connectTcp(host, port);
+    uint8_t hello[4];
+    tracefile::putLe32(hello, workProtocolVersion);
+    if (!sendF(fd, WorkFrame::Hello, hello, sizeof hello)) {
         ::close(fd);
-        throw std::runtime_error("bad host \"" + host + "\"");
+        throw std::runtime_error(std::string(who) +
+                                 ": head hung up on Hello");
     }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        throw std::runtime_error("cannot connect " + host + ":" +
-                                 std::to_string(port) + ": " +
-                                 std::strerror(err));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return fd;
 }
 
@@ -123,13 +112,18 @@ parseHostPort(const std::string &text)
 
 struct RemoteBackend::Impl
 {
-    explicit Impl(RemoteBackendOptions o) : opts(std::move(o)) {}
+    explicit Impl(RemoteBackendOptions o) : opts(std::move(o))
+    {
+        server.start(
+            opts.port,
+            [this](int fd, uint64_t id) { connectionLoop(fd, id); },
+            [this] {
+                std::lock_guard lock(mutex);
+                return finFlag;
+            });
+    }
 
     RemoteBackendOptions opts;
-
-    int listenFd = -1;
-    uint16_t port = 0;
-    std::thread acceptThread;
 
     std::mutex mutex;
     std::condition_variable cv;
@@ -173,33 +167,24 @@ struct RemoteBackend::Impl
 
     std::map<std::string, uint64_t> errors;
 
+    /** One worker connection; lives on its handler's stack. */
     struct Conn
     {
-        /**
-         * Closed only here, when the last reference drops. stop()
-         * snapshots the shared_ptrs, so an fd it shuts down cannot
-         * be concurrently closed and reused for something else.
-         */
-        ~Conn()
-        {
-            if (fd >= 0)
-                ::close(fd);
-        }
-
-        int fd = -1;
+        int fd = -1; //!< owned by `server`, never closed here
         uint64_t id = 0;
         bool hello = false;
         std::set<std::size_t> held; //!< point ids issued here
     };
-    std::vector<std::shared_ptr<Conn>> conns;
-    std::vector<std::thread> connThreads;
-    uint64_t nextConnId = 0;
+    std::vector<Conn *> conns; //!< live connections
 
     /** Whether this head ever spawned its own workers. */
     bool fleetSpawned = false;
     /** Spawned workers not yet reaped. */
     std::vector<pid_t> spawned;
     bool stopped = false;
+
+    /** Last member: stopped before the state its handlers use. */
+    net::ConnServer server;
 
     void
     countLocked(const std::string &name)
@@ -212,67 +197,6 @@ struct RemoteBackend::Impl
     {
         std::lock_guard lock(mutex);
         countLocked(name);
-    }
-
-    void
-    start()
-    {
-        listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listenFd < 0)
-            throw std::runtime_error("socket() failed");
-        const int one = 1;
-        ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(opts.port);
-        if (::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) != 0) {
-            ::close(listenFd);
-            listenFd = -1;
-            throw std::runtime_error(
-                "cannot bind 127.0.0.1:" +
-                std::to_string(opts.port) + ": " +
-                std::strerror(errno));
-        }
-        socklen_t len = sizeof addr;
-        ::getsockname(listenFd,
-                      reinterpret_cast<sockaddr *>(&addr), &len);
-        port = ntohs(addr.sin_port);
-        if (::listen(listenFd, 128) != 0) {
-            ::close(listenFd);
-            listenFd = -1;
-            throw std::runtime_error("listen() failed");
-        }
-        acceptThread = std::thread([this] { acceptLoop(); });
-    }
-
-    void
-    acceptLoop()
-    {
-        for (;;) {
-            const int cfd = ::accept(listenFd, nullptr, nullptr);
-            if (cfd < 0) {
-                if (errno == EINTR)
-                    continue;
-                break; // listener closed by stop()
-            }
-            const int one = 1;
-            ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one,
-                         sizeof one);
-            std::lock_guard lock(mutex);
-            if (finFlag) {
-                ::close(cfd);
-                continue;
-            }
-            auto conn = std::make_shared<Conn>();
-            conn->fd = cfd;
-            conn->id = nextConnId++;
-            conns.push_back(conn);
-            connThreads.emplace_back(
-                [this, conn] { connectionLoop(conn); });
-        }
     }
 
     /**
@@ -296,14 +220,14 @@ struct RemoteBackend::Impl
             p.state = Point::State::Pending;
             active->pending.push_back(i);
             countLocked("reissued");
-            for (const auto &c : conns)
+            for (Conn *c : conns)
                 if (c->id == p.holder)
                     c->held.erase(i);
         }
     }
 
     void
-    handlePull(const std::shared_ptr<Conn> &c)
+    handlePull(Conn &c)
     {
         bool fin = false;
         std::vector<uint8_t> work;
@@ -327,8 +251,8 @@ struct RemoteBackend::Impl
                         continue;
                     p.state = Point::State::Issued;
                     p.issuedAt = Clock::now();
-                    p.holder = c->id;
-                    c->held.insert(idx);
+                    p.holder = c.id;
+                    c.held.insert(idx);
                     work = idTextPayload(idx, p.text);
                     break;
                 }
@@ -339,21 +263,20 @@ struct RemoteBackend::Impl
         // the whole head. A failed Work send leaves the point
         // Issued here; the disconnect path requeues it.
         if (fin)
-            sendF(c->fd, WorkFrame::Fin);
+            sendF(c.fd, WorkFrame::Fin);
         else if (!work.empty())
-            sendF(c->fd, WorkFrame::Work, work.data(), work.size());
+            sendF(c.fd, WorkFrame::Work, work.data(), work.size());
         else
-            sendF(c->fd, WorkFrame::Retry);
+            sendF(c.fd, WorkFrame::Retry);
     }
 
     /** @return false to drop the connection. */
     bool
-    handleResult(const std::shared_ptr<Conn> &c,
-                 const std::vector<uint8_t> &payload)
+    handleResult(Conn &c, const std::vector<uint8_t> &payload)
     {
         if (payload.size() < 8) {
             count("malformed-result");
-            sendError(c->fd, "malformed-result");
+            sendError(c.fd, "malformed-result");
             return false;
         }
         const uint64_t id = tracefile::getLe64(payload.data());
@@ -370,7 +293,7 @@ struct RemoteBackend::Impl
         std::function<void()> done;
         {
             std::lock_guard lock(mutex);
-            c->held.erase(static_cast<std::size_t>(id));
+            c.held.erase(static_cast<std::size_t>(id));
             if (!active || id >= active->points.size()) {
                 // Straggler of a finished run racing Fin: harmless.
                 countLocked("duplicate-result");
@@ -429,7 +352,7 @@ struct RemoteBackend::Impl
             }
         }
         if (malformed) {
-            sendError(c->fd, "malformed-result");
+            sendError(c.fd, "malformed-result");
             return false;
         }
         // The progress callback runs outside the queue lock — it
@@ -451,15 +374,14 @@ struct RemoteBackend::Impl
 
     /** @return false to drop the connection. */
     bool
-    handleCacheGet(const std::shared_ptr<Conn> &c,
-                   const std::vector<uint8_t> &payload)
+    handleCacheGet(Conn &c, const std::vector<uint8_t> &payload)
     {
         const std::string hash(payload.begin(), payload.end());
         try {
             checkCacheHash(hash);
         } catch (const std::exception &) {
             count("bad-cache-hash");
-            sendError(c->fd, "bad-cache-hash");
+            sendError(c.fd, "bad-cache-hash");
             return false;
         }
         std::optional<std::string> entry;
@@ -471,15 +393,14 @@ struct RemoteBackend::Impl
             }
         }
         if (entry)
-            return sendF(c->fd, WorkFrame::CacheHit, entry->data(),
+            return sendF(c.fd, WorkFrame::CacheHit, entry->data(),
                          entry->size());
-        return sendF(c->fd, WorkFrame::CacheMiss);
+        return sendF(c.fd, WorkFrame::CacheMiss);
     }
 
     /** @return false to drop the connection. */
     bool
-    handleCachePut(const std::shared_ptr<Conn> &c,
-                   const std::vector<uint8_t> &payload)
+    handleCachePut(Conn &c, const std::vector<uint8_t> &payload)
     {
         const std::string hash(
             payload.begin(),
@@ -489,13 +410,13 @@ struct RemoteBackend::Impl
             checkCacheHash(hash);
         } catch (const std::exception &) {
             count("bad-cache-hash");
-            sendError(c->fd, "bad-cache-hash");
+            sendError(c.fd, "bad-cache-hash");
             return false;
         }
         const std::string entry(payload.begin() + 16,
                                 payload.end());
         if (!opts.serveCache) {
-            sendError(c->fd, "no-cache");
+            sendError(c.fd, "no-cache");
             return true;
         }
         try {
@@ -503,30 +424,37 @@ struct RemoteBackend::Impl
         } catch (const std::exception &) {
             // A full disk costs the entry, never the connection.
             count("cache-put-failed");
-            sendError(c->fd, "cache-put-failed");
+            sendError(c.fd, "cache-put-failed");
             return true;
         }
-        return sendF(c->fd, WorkFrame::PutAck);
+        return sendF(c.fd, WorkFrame::PutAck);
     }
 
     void
-    connectionLoop(const std::shared_ptr<Conn> &c)
+    connectionLoop(int fd, uint64_t id)
     {
+        Conn c;
+        c.fd = fd;
+        c.id = id;
+        {
+            std::lock_guard lock(mutex);
+            conns.push_back(&c);
+        }
         net::FrameHeader h;
         std::vector<uint8_t> payload;
         for (;;) {
-            const net::RecvStatus st = recvF(c->fd, h, payload);
+            const net::RecvStatus st = recvF(c.fd, h, payload);
             if (st != net::RecvStatus::Ok) {
                 if (st != net::RecvStatus::CleanEof) {
                     count(net::recvErrorName(st));
-                    sendError(c->fd, net::recvErrorName(st));
+                    sendError(c.fd, net::recvErrorName(st));
                 }
                 break;
             }
-            if (!c->hello &&
+            if (!c.hello &&
                 h.type != static_cast<uint8_t>(WorkFrame::Hello)) {
                 count("bad-hello");
-                sendError(c->fd, "bad-hello");
+                sendError(c.fd, "bad-hello");
                 break;
             }
             bool keep = true;
@@ -536,11 +464,11 @@ struct RemoteBackend::Impl
                     tracefile::getLe32(payload.data()) !=
                         workProtocolVersion) {
                     count("bad-hello");
-                    sendError(c->fd, "bad-hello");
+                    sendError(c.fd, "bad-hello");
                     keep = false;
                     break;
                 }
-                c->hello = true;
+                c.hello = true;
                 break;
             case WorkFrame::Pull:
                 handlePull(c);
@@ -556,7 +484,7 @@ struct RemoteBackend::Impl
                 break;
             default:
                 count("bad-frame-type");
-                sendError(c->fd, "bad-frame-type");
+                sendError(c.fd, "bad-frame-type");
                 keep = false;
                 break;
             }
@@ -573,36 +501,30 @@ struct RemoteBackend::Impl
             fin = finFlag;
         }
         if (fin)
-            sendF(c->fd, WorkFrame::Fin);
+            sendF(c.fd, WorkFrame::Fin);
         dropConn(c);
     }
 
-    /** Requeue a closing connection's issued points, close its fd. */
+    /** Requeue a closing connection's issued points. */
     void
-    dropConn(const std::shared_ptr<Conn> &c)
+    dropConn(Conn &c)
     {
         {
             std::lock_guard lock(mutex);
             if (active) {
-                for (const std::size_t id : c->held) {
+                for (const std::size_t id : c.held) {
                     Point &p = active->points[id];
                     if (p.state == Point::State::Issued &&
-                        p.holder == c->id) {
+                        p.holder == c.id) {
                         p.state = Point::State::Pending;
                         active->pending.push_back(id);
                         countLocked("worker-died");
                     }
                 }
             }
-            c->held.clear();
-            conns.erase(
-                std::remove(conns.begin(), conns.end(), c),
-                conns.end());
+            c.held.clear();
+            std::erase(conns, &c);
         }
-        // No close here: ~Conn closes once the last shared_ptr
-        // (possibly a snapshot inside stop()) lets go, so the fd
-        // number cannot be recycled under a concurrent shutdown.
-        ::shutdown(c->fd, SHUT_RDWR);
         cv.notify_all();
     }
 
@@ -620,7 +542,7 @@ struct RemoteBackend::Impl
             n = jobs ? jobs : std::thread::hardware_concurrency();
         n = std::max(1u, n);
         const std::string connectArg =
-            "127.0.0.1:" + std::to_string(port);
+            "127.0.0.1:" + std::to_string(server.port());
         for (unsigned i = 0; i < n; ++i) {
             const pid_t pid = ::fork();
             if (pid < 0)
@@ -757,7 +679,6 @@ struct RemoteBackend::Impl
     void
     stop()
     {
-        std::vector<std::shared_ptr<Conn>> snapshot;
         std::vector<pid_t> pids;
         {
             std::lock_guard lock(mutex);
@@ -765,44 +686,13 @@ struct RemoteBackend::Impl
                 return;
             stopped = true;
             finFlag = true;
-            snapshot = conns; // shared_ptrs keep the fds alive
             pids.swap(spawned);
         }
         cv.notify_all();
 
-        // Half-close only: the read shutdown breaks each
-        // connection thread's recv, while the intact write side
-        // lets that thread — the fd's sole writer — send the Fin
-        // farewell itself on its way out. stop() never writes, so
-        // frames cannot interleave, and the snapshot above pins the
-        // fds so none can be closed and recycled underneath us.
-        for (const auto &c : snapshot)
-            ::shutdown(c->fd, SHUT_RD);
-        if (listenFd >= 0)
-            ::shutdown(listenFd, SHUT_RDWR);
-        if (acceptThread.joinable())
-            acceptThread.join();
-        if (listenFd >= 0) {
-            ::close(listenFd);
-            listenFd = -1;
-        }
-        for (;;) {
-            std::vector<std::thread> threads;
-            {
-                std::lock_guard lock(mutex);
-                // Connections that slipped in after the snapshot
-                // above still need their recv broken; SHUT_RDWR
-                // here also frees any thread stuck mid-send to a
-                // peer that stopped reading.
-                for (const auto &c : conns)
-                    ::shutdown(c->fd, SHUT_RDWR);
-                threads.swap(connThreads);
-            }
-            if (threads.empty())
-                break;
-            for (auto &t : threads)
-                t.join();
-        }
+        // Read side first: each connection thread, its fd's sole
+        // writer, sends the Fin farewell itself on its way out.
+        server.stop(SHUT_RD);
 
         // Spawned workers exit on Fin / the dropped connection; a
         // hung one (fault injection) gets a SIGKILL after a short
@@ -829,7 +719,6 @@ struct RemoteBackend::Impl
 RemoteBackend::RemoteBackend(RemoteBackendOptions opts)
     : impl_(std::make_unique<Impl>(std::move(opts)))
 {
-    impl_->start();
 }
 
 RemoteBackend::~RemoteBackend()
@@ -855,7 +744,7 @@ RemoteBackend::run(const std::vector<ExperimentSpec> &specs,
 uint16_t
 RemoteBackend::port() const
 {
-    return impl_->port;
+    return impl_->server.port();
 }
 
 void
@@ -878,13 +767,7 @@ RemoteBackend::errorCounts() const
 WorkerStats
 runWorkerLoop(const WorkerOptions &opts)
 {
-    const int fd = connectTo(opts.host, opts.port);
-    uint8_t hello[4];
-    tracefile::putLe32(hello, workProtocolVersion);
-    if (!sendF(fd, WorkFrame::Hello, hello, sizeof hello)) {
-        ::close(fd);
-        throw std::runtime_error("worker: head hung up on Hello");
-    }
+    const int fd = connectHead(opts.host, opts.port, "worker");
 
     WorkerStats stats;
     net::FrameHeader h;
@@ -946,15 +829,7 @@ runWorkerLoop(const WorkerOptions &opts)
 RemoteCacheStore::RemoteCacheStore(const std::string &host,
                                    uint16_t port)
 {
-    fd_ = connectTo(host, port);
-    uint8_t hello[4];
-    tracefile::putLe32(hello, workProtocolVersion);
-    if (!sendF(fd_, WorkFrame::Hello, hello, sizeof hello)) {
-        ::close(fd_);
-        fd_ = -1;
-        throw std::runtime_error(
-            "remote cache: head hung up on Hello");
-    }
+    fd_ = connectHead(host, port, "remote cache");
 }
 
 RemoteCacheStore::~RemoteCacheStore()

@@ -136,6 +136,10 @@ writeResultObject(std::ostream &os, const ExperimentResult &r)
     os << ",\"writes\":" << r.replay.writes
        << ",\"compressed_writes\":" << r.replay.compressedWrites
        << ",\"vnr_iterations\":" << r.replay.vnrIterations;
+    // Only when set, so every result without a capped write (every
+    // golden and cached entry) keeps its bytes.
+    if (r.replay.vnrCapped)
+        os << ",\"vnr_capped\":" << r.replay.vnrCapped;
     field("energy_pj", r.replay.energyPj.mean());
     field("data_energy_pj", r.replay.dataEnergyPj.mean());
     field("aux_energy_pj", r.replay.auxEnergyPj.mean());
@@ -211,6 +215,8 @@ readResultObject(const JsonValue &obj, ExperimentSpec spec)
     res.replay.compressedWrites =
         obj.at("compressed_writes").asU64();
     res.replay.vnrIterations = obj.at("vnr_iterations").asU64();
+    if (obj.has("vnr_capped"))
+        res.replay.vnrCapped = obj.at("vnr_capped").asU64();
     // A one-sample stat reproduces the stored mean exactly — and
     // mean() is the only moment the reporters (and benches) read
     // from a merged result.

@@ -68,7 +68,8 @@ class JsonReporter : public Reporter
  * Stream one result as the JSON object the reporters, the worker
  * protocol and the result cache all share. Doubles are printed
  * shortest-round-trip, and the raw counters (writes,
- * compressed_writes, vnr_iterations) and all nine per-write stat
+ * compressed_writes, vnr_iterations; vnr_capped only when non-zero,
+ * read back as 0 when absent) and all nine per-write stat
  * means are included, so readResultObject() reconstructs a result
  * whose CSV/JSON rows are byte-identical to the original's.
  */

@@ -5,14 +5,14 @@
  * the graceful-drain lifecycle. tools/wlcrc_serve is a thin CLI
  * around this class; tests and the serve bench embed it in-process.
  *
- * Threads: one accept loop, one reader thread per connection, one
- * encode worker per bank (BankEngine). A reader decodes frames,
- * optionally captures accepted records to a per-stream WLCTRC02/03
- * file, and submits them to the engine; backpressure propagates
- * from a full bank queue through the blocked reader to the
- * client's TCP window. Telemetry requests are answered on the
- * requesting connection's own thread from the engine's seqlock
- * snapshots, so a STATS never stalls encode.
+ * Threads: one accept loop and one reader thread per connection
+ * (net::ConnServer), one encode worker per bank (BankEngine). A
+ * reader decodes frames, optionally captures accepted records to a
+ * per-stream WLCTRC02/03 file, and submits them to the engine;
+ * backpressure propagates from a full bank queue through the
+ * blocked reader to the client's TCP window. Telemetry requests are
+ * answered on the requesting connection's own thread from the
+ * engine's seqlock snapshots, so a STATS never stalls encode.
  *
  * Shutdown (requestStop(), a signal, --run-seconds, --max-writes or
  * --max-conns): stop accepting, shut down every connection socket,
@@ -31,9 +31,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/conn_server.hh"
 #include "runner/experiment.hh"
 #include "serve/engine.hh"
 #include "tracefile/writer.hh"
@@ -65,8 +65,6 @@ struct ServerConfig
 struct ConnState
 {
     uint64_t id = 0;          //!< accept order
-    int fd = -1;
-    std::mutex fdMutex;       //!< guards fd close vs shutdown race
     std::atomic<uint32_t> streamId{0};
     std::atomic<bool> hasHello{false};
     std::atomic<bool> open{true};
@@ -96,7 +94,7 @@ class Server
     void start();
 
     /** Bound TCP port (the ephemeral one when configured with 0). */
-    uint16_t port() const { return port_; }
+    uint16_t port() const { return connServer_.port(); }
 
     /**
      * Ask the server to stop. Async-signal-safe (an atomic store),
@@ -129,24 +127,17 @@ class Server
     uint64_t accepted() const { return engine_.totalAccepted(); }
 
   private:
-    void acceptLoop();
     runner::ExperimentResult resultShell() const;
-    void runConnection(std::shared_ptr<ConnState> conn);
+    void runConnection(int fd, uint64_t id);
     void noteError(const std::string &name);
     std::string connSummaryJson(const ConnState &conn) const;
-    void shutdownAll();
 
     ServerConfig cfg_;
     BankEngine engine_;
-    int listenFd_ = -1;
-    uint16_t port_ = 0;
-    std::thread acceptThread_;
     std::chrono::steady_clock::time_point startTime_;
 
     mutable std::mutex connMutex_;
     std::vector<std::shared_ptr<ConnState>> conns_;
-    std::vector<std::thread> connThreads_;
-    uint64_t opened_ = 0;
     std::atomic<uint64_t> closed_{0};
 
     mutable std::mutex errMutex_;
@@ -155,6 +146,9 @@ class Server
     std::atomic<bool> stopFlag_{false};
     bool drained_ = false;
     std::string stopReason_;
+
+    /** Last member: stopped before the state its readers use. */
+    net::ConnServer connServer_;
 };
 
 } // namespace wlcrc::serve

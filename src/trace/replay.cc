@@ -24,6 +24,7 @@ ReplayResult::merge(const ReplayResult &o)
     writes += o.writes;
     compressedWrites += o.compressedWrites;
     vnrIterations += o.vnrIterations;
+    vnrCapped += o.vnrCapped;
 }
 
 Replayer::Replayer(const coset::LineCodec &codec,
@@ -73,6 +74,7 @@ Replayer::applyWrite(const WriteTransaction &txn,
     result_.dataDisturbed.add(st.dataDisturbed);
     result_.auxDisturbed.add(st.auxDisturbed);
     result_.vnrIterations += st.vnrIterations;
+    result_.vnrCapped += st.vnrCapped;
     ++result_.writes;
     return st;
 }

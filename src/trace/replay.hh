@@ -47,6 +47,7 @@ struct ReplayResult
     uint64_t writes = 0;
     uint64_t compressedWrites = 0; //!< flag-cell = compressed formats
     uint64_t vnrIterations = 0;    //!< total Verify-n-Restore passes
+    uint64_t vnrCapped = 0;        //!< writes whose VnR hit the cap
 
     /**
      * Fold another replay's metrics into this one, as if both

@@ -145,6 +145,10 @@ program(const EnergyModel &energy, const DisturbanceModel &disturb,
         return st;
 
     while (errors) {
+        if (st.vnrIterations >= WriteUnit::maxVnrIterations) {
+            st.vnrCapped = 1;
+            break;
+        }
         ++st.vnrIterations;
         const CellMask repairing = disturbed;
         errors = sample(disturb, stored.data(), stored.size(),
@@ -225,17 +229,20 @@ diffProgram(const WriteUnit &unit, const std::vector<State> &stored,
         !same(got.auxUpdated, want.auxUpdated) ||
         !same(got.dataDisturbed, want.dataDisturbed) ||
         !same(got.auxDisturbed, want.auxDisturbed) ||
-        !same(got.vnrIterations, want.vnrIterations)) {
+        !same(got.vnrIterations, want.vnrIterations) ||
+        !same(got.vnrCapped, want.vnrCapped)) {
         char buf[320];
         std::snprintf(
             buf, sizeof buf,
             "WriteStats: energy %a/%a updated %u/%u disturbed %u/%u "
-            "vnr %u; reference %a/%a %u/%u %u/%u vnr %u",
+            "vnr %u capped %u; reference %a/%a %u/%u %u/%u vnr %u "
+            "capped %u",
             got.dataEnergyPj, got.auxEnergyPj, got.dataUpdated,
             got.auxUpdated, got.dataDisturbed, got.auxDisturbed,
-            got.vnrIterations, want.dataEnergyPj, want.auxEnergyPj,
-            want.dataUpdated, want.auxUpdated, want.dataDisturbed,
-            want.auxDisturbed, want.vnrIterations);
+            got.vnrIterations, got.vnrCapped, want.dataEnergyPj,
+            want.auxEnergyPj, want.dataUpdated, want.auxUpdated,
+            want.dataDisturbed, want.auxDisturbed, want.vnrIterations,
+            want.vnrCapped);
         return buf;
     }
     if (gotCells != wantCells)
