@@ -29,7 +29,7 @@ Rng::Rng(uint64_t seed)
 }
 
 uint64_t
-Rng::nextBelow(uint64_t bound)
+Rng::nextBelowRejecting(uint64_t bound)
 {
     // Rejection sampling to remove modulo bias.
     const uint64_t threshold = -bound % bound;

@@ -42,8 +42,19 @@ class Rng
         return result;
     }
 
-    /** @return uniform value in [0, bound). @p bound must be > 0. */
-    uint64_t nextBelow(uint64_t bound);
+    /**
+     * @return uniform value in [0, bound). @p bound must be > 0.
+     * A power-of-two bound has rejection threshold 0, so its one
+     * draw is masked inline; other bounds take the rejection loop.
+     * Both paths consume the same draws as the loop alone would.
+     */
+    uint64_t
+    nextBelow(uint64_t bound)
+    {
+        if ((bound & (bound - 1)) == 0)
+            return next() & (bound - 1);
+        return nextBelowRejecting(bound);
+    }
 
     /** @return uniform double in [0, 1). */
     double nextDouble() { return (next() >> 11) * 0x1.0p-53; }
@@ -59,6 +70,8 @@ class Rng
     }
 
   private:
+    uint64_t nextBelowRejecting(uint64_t bound);
+
     static uint64_t
     rotl(uint64_t x, int k)
     {

@@ -108,6 +108,7 @@ constexpr CrcTables crcTables = makeCrcTables();
 constexpr Ops scalarOps = {scalarByteDiffMask, scalarMapSymbols,
                            scalarAccumRows4, scalarAccumRows8,
                            scalarAccumBlocks4, scalarMapBlocks,
+                           detail::scalarScoreXorCandidates,
                            detail::scalarCrc32};
 
 /** The avx2 table needs AVX2, and PCLMULQDQ for its crc32 kernel. */
@@ -203,6 +204,21 @@ opsFor(Kernel k)
 
 namespace detail
 {
+
+void
+scalarScoreXorCandidates(const double *rows, const uint8_t *stored,
+                         const uint64_t *data, const uint8_t *masks,
+                         unsigned ncells, double *acc)
+{
+    for (unsigned i = 0; i < ncells; ++i) {
+        const unsigned sym =
+            static_cast<unsigned>((data[i / 32] >> (2 * (i % 32))) & 3);
+        const double *row = rows + stored[i] * 4u;
+        const uint8_t *m = masks + i * xorCandidates;
+        for (unsigned c = 0; c < xorCandidates; ++c)
+            acc[c] += row[sym ^ m[c]];
+    }
+}
 
 uint32_t
 scalarCrc32(const uint8_t *p, std::size_t len, uint32_t seed)

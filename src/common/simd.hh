@@ -7,7 +7,8 @@
  * differential write (see docs/simd.md):
  *  - the word-wise differential scan (which cells changed),
  *  - per-candidate symbol mapping (2-bit symbols -> cell states),
- *  - cost-row candidate scoring (per-cell 4/8-lane double adds).
+ *  - cost-row candidate scoring (per-cell 4/8-lane double adds, and
+ *    16 XOR-mask candidates scored one lane each).
  * A fourth dominates reading a trace container: the CRC-32 that
  * verifies every record block (wlcrc::crc32, common/crc32.hh).
  *
@@ -115,6 +116,22 @@ struct Ops
                       unsigned nblocks, uint8_t *out);
 
     /**
+     * XOR-mask candidate scoring, one lane per candidate: for each
+     * cell i ascending in [0, @p ncells) and each lane c < 16,
+     *   acc[c] += rows[stored[i] * 4 + (sym(i) ^ masks[i * 16 + c])]
+     * where sym(i) = (data[i / 32] >> (2 * (i % 32))) & 3, @p rows is
+     * a [4 states][4 symbols] cost table and masks[i * 16 + c] (0..3)
+     * is candidate c's mask symbol at cell i. Per lane these are the
+     * same adds in the same cell order as scoring one candidate at a
+     * time, so the 16 sums are bit-identical across kernels.
+     */
+    void (*scoreXorCandidates)(const double *rows,
+                               const uint8_t *stored,
+                               const uint64_t *data,
+                               const uint8_t *masks, unsigned ncells,
+                               double *acc);
+
+    /**
      * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of
      * @p data[0..len), continuing from @p seed, the checksum of the
      * bytes before it (0 starts a new message): the wlcrc::crc32()
@@ -160,8 +177,18 @@ Kernel activeKernel();
  *  @throws std::invalid_argument if unavailable. */
 const Ops &opsFor(Kernel k);
 
+/** Lanes of Ops::scoreXorCandidates. */
+inline constexpr unsigned xorCandidates = 16;
+
 namespace detail
 {
+/** The scalar scoreXorCandidates kernel (the neon table's entry). */
+void scalarScoreXorCandidates(const double *rows,
+                              const uint8_t *stored,
+                              const uint64_t *data,
+                              const uint8_t *masks, unsigned ncells,
+                              double *acc);
+
 /** The scalar crc32 kernel; vector kernels finish short buffers and
  *  tails with it. */
 uint32_t scalarCrc32(const uint8_t *data, std::size_t len,

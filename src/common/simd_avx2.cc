@@ -10,7 +10,9 @@
  * Bit-identity: mapSymbolsAvx2/byteDiffMaskAvx2 are pure integer
  * transforms; accumRows4/8 add the same doubles in the same cell
  * order as the scalar reference (vaddpd is four independent per-lane
- * adds), so every kernel reproduces the scalar results exactly.
+ * adds), and so does scoreXorCandidates, whose vpermd only moves
+ * doubles between lanes, so every kernel reproduces the scalar
+ * results exactly.
  * crc32Pclmul is exact carry-less arithmetic over GF(2).
  */
 
@@ -215,6 +217,61 @@ mapBlocksAvx2(uint64_t word, const uint8_t *const *tables,
     }
 }
 
+/**
+ * 16 candidate lanes in four 4-double registers. Per cell, the cost
+ * row of (stored state, data symbol) is pre-permuted so that lane x
+ * holds rows[s * 4 + (x ^ sym)]; each register then picks its four
+ * candidates' entries with one vpermd whose dword indices
+ * (2m, 2m + 1) come from that cell's mask bytes. Every lane adds one
+ * double per cell in ascending cell order, like the scalar loop.
+ */
+void
+scoreXorCandidatesAvx2(const double *rows, const uint8_t *stored,
+                       const uint64_t *data, const uint8_t *masks,
+                       unsigned ncells, double *acc)
+{
+    alignas(32) double perm[16][4];
+    for (unsigned s = 0; s < 4; ++s)
+        for (unsigned d = 0; d < 4; ++d)
+            for (unsigned x = 0; x < 4; ++x)
+                perm[s * 4 + d][x] = rows[s * 4 + (x ^ d)];
+
+    // Dword pair k of a register reads mask byte k of its group.
+    const __m256i shifts =
+        _mm256_setr_epi32(0, 0, 8, 8, 16, 16, 24, 24);
+    const __m256i odd = _mm256_setr_epi32(0, 1, 0, 1, 0, 1, 0, 1);
+    auto pick = [&](const uint8_t *m4, __m256i row) {
+        uint32_t four;
+        std::memcpy(&four, m4, sizeof four);
+        const __m256i bytes = _mm256_set1_epi32(static_cast<int>(four));
+        const __m256i idx = _mm256_or_si256(
+            _mm256_slli_epi32(_mm256_srlv_epi32(bytes, shifts), 1),
+            odd);
+        return _mm256_castsi256_pd(
+            _mm256_permutevar8x32_epi32(row, idx));
+    };
+    __m256d a0 = _mm256_loadu_pd(acc);
+    __m256d a1 = _mm256_loadu_pd(acc + 4);
+    __m256d a2 = _mm256_loadu_pd(acc + 8);
+    __m256d a3 = _mm256_loadu_pd(acc + 12);
+    for (unsigned i = 0; i < ncells; ++i) {
+        const auto sym = static_cast<unsigned>(
+            (data[i / 32] >> (2 * (i % 32))) & 3);
+        const __m256i row =
+            _mm256_load_si256(reinterpret_cast<const __m256i *>(
+                perm[stored[i] * 4u + sym]));
+        const uint8_t *m = masks + i * xorCandidates;
+        a0 = _mm256_add_pd(a0, pick(m, row));
+        a1 = _mm256_add_pd(a1, pick(m + 4, row));
+        a2 = _mm256_add_pd(a2, pick(m + 8, row));
+        a3 = _mm256_add_pd(a3, pick(m + 12, row));
+    }
+    _mm256_storeu_pd(acc, a0);
+    _mm256_storeu_pd(acc + 4, a1);
+    _mm256_storeu_pd(acc + 8, a2);
+    _mm256_storeu_pd(acc + 12, a3);
+}
+
 inline __m128i
 load128(const uint8_t *at)
 {
@@ -281,7 +338,7 @@ crc32Pclmul(const uint8_t *p, std::size_t len, uint32_t seed)
 constexpr Ops avx2Ops = {byteDiffMaskAvx2, mapSymbolsAvx2,
                          accumRows4Avx2, accumRows8Avx2,
                          accumBlocks4Avx2, mapBlocksAvx2,
-                         crc32Pclmul};
+                         scoreXorCandidatesAvx2, crc32Pclmul};
 
 } // namespace
 

@@ -10,6 +10,8 @@
  * Bit-identity contract as in simd_avx2.cc: integer kernels are
  * exact, and the accumulation kernels issue per-lane vaddq_f64 adds
  * in scalar cell order, so sums match the scalar reference exactly.
+ * scoreXorCandidates points at the scalar reference: no aarch64 host
+ * has measured or tested a NEON body yet.
  */
 
 #include "simd.hh"
@@ -226,6 +228,7 @@ makeNeonOps()
 {
     return {byteDiffMaskNeon, mapSymbolsNeon, accumRows4Neon,
             accumRows8Neon, accumBlocks4Neon, mapBlocksNeon,
+            detail::scalarScoreXorCandidates,
             cpuHasCrc32() ? crc32Arm : detail::scalarCrc32};
 }
 

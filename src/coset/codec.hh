@@ -50,11 +50,10 @@ inline std::atomic<bool> scalarScoringFlag{false};
 
 /**
  * Reusable per-replayer encode workspace, threaded through
- * encodeInto() so codecs stage selector bits, per-block picks and
- * compression streams without allocating per write. The fixed arrays
- * cover the selection codecs outright; the growable buffers (used by
- * the compression-backed DIN format) reach steady-state capacity
- * after the first few writes.
+ * encodeInto() so codecs stage selector bits and per-block picks
+ * without allocating per write. Fixed-size: every codec, including
+ * the compression-backed formats (whose streams live in inline
+ * BitBuffer storage), fits in it.
  *
  * Contents are scratch: no call may assume anything about the values
  * left by a previous call.
@@ -64,13 +63,10 @@ struct EncodeScratch
     /** Per-block candidate picks (restricted/grouped selection). */
     std::array<uint8_t, lineSymbols> pick0{};
     std::array<uint8_t, lineSymbols> pick1{};
-    /** Bit-string staging (selector bits, DIN group bits). */
+    /** Bit-string staging (selector bits, FNW flip bits). */
     std::array<uint8_t, lineBits> bitsA{};
-    std::array<uint8_t, lineBits> bitsB{};
     /** Aux cell-state staging. */
     std::array<pcm::State, lineSymbols> states{};
-    /** Growable staging for compression-backed formats. */
-    std::vector<uint8_t> bytes;
 };
 
 /** Abstract line encoding scheme. */

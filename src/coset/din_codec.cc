@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/simd.hh"
+
 namespace wlcrc::coset
 {
 
@@ -42,6 +44,19 @@ buildInverse()
 
 constexpr std::array<unsigned, 16> inverse = buildInverse();
 
+/** Two 3-bit groups (6 stream bits) -> their two codewords (8 bits). */
+constexpr std::array<uint8_t, 64>
+buildPairExpansion()
+{
+    std::array<uint8_t, 64> t{};
+    for (unsigned v = 0; v < 64; ++v)
+        t[v] = static_cast<uint8_t>(codewords[v & 7] |
+                                    (codewords[v >> 3] << 4));
+    return t;
+}
+
+constexpr std::array<uint8_t, 64> pairExpansion = buildPairExpansion();
+
 } // namespace
 
 unsigned
@@ -76,41 +91,47 @@ DinCodec::encodeInto(const Line512 &data,
 {
     assert(stored.size() == cellCount());
     (void)stored;
+    (void)scratch;
     const Mapping &map = defaultMapping();
+    const simd::Ops &k = simd::ops();
     target.reset(cellCount());
     target.setAuxStart(lineSymbols);
+    uint8_t *tgt = reinterpret_cast<uint8_t *>(target.states());
+    auto place = [&](const Line512 &line) {
+        for (unsigned w = 0; w < lineWords; ++w)
+            k.mapSymbols(line.word(w), map.stateTable(), 0, 31,
+                         tgt + w * 32);
+    };
 
     const auto stream = compressor_.compress(data);
     if (!stream || stream->size() > maxCompressedBits) {
         // Raw format: flag = S2 (second-lowest energy state).
-        for (unsigned s = 0; s < lineSymbols; ++s)
-            target[s] = map.encode(data.symbol(s));
+        place(data);
         target[lineSymbols] = State::S2;
         return;
     }
 
-    // Pad the compressed stream to 369 bits, expand 3 -> 4, add BCH.
-    uint8_t *bits = scratch.bitsA.data();
-    std::fill_n(bits, maxCompressedBits, uint8_t{0});
-    for (unsigned i = 0; i < stream->size(); ++i)
-        bits[i] = static_cast<uint8_t>(stream->read(i, 1));
-
-    uint8_t *expanded = scratch.bitsB.data();
-    for (unsigned g = 0; g < dataGroups; ++g) {
-        const unsigned v = bits[g * 3] | (bits[g * 3 + 1] << 1) |
-                           (bits[g * 3 + 2] << 2);
-        const unsigned cw = expand3to4(v);
-        for (unsigned b = 0; b < 4; ++b)
-            expanded[g * 4 + b] = (cw >> b) & 1;
+    // Expand 3 -> 4: each output word takes 48 stream bits, six at
+    // a time (two groups) into one byte of two codewords. The stream
+    // is zero past its end, so groups past the 123rd expand to zero.
+    const Line512 in = stream->toLine();
+    std::array<uint64_t, lineWords> out{};
+    for (unsigned w = 0; w < lineWords; ++w) {
+        const unsigned pos = w * 48;
+        const unsigned off = pos % 64;
+        uint64_t window = in.word(pos / 64) >> off;
+        if (off > 16)
+            window |= in.word(pos / 64 + 1) << (64 - off);
+        for (unsigned b = 0; b < 8; ++b)
+            out[w] |= uint64_t{pairExpansion[(window >> (6 * b)) & 63]}
+                      << (8 * b);
     }
-    uint8_t codeword[lineBits];
-    bch_.encodeInto(expanded, codeword);
-
-    Line512 encoded;
-    for (unsigned i = 0; i < lineBits; ++i)
-        encoded.setBit(i, codeword[i]);
-    for (unsigned s = 0; s < lineSymbols; ++s)
-        target[s] = map.encode(encoded.symbol(s));
+    // Bits 492..511 are still zero: the BCH parity goes there.
+    static_assert(expandedBits == 7 * 64 + 44 &&
+                  expandedBits + bchParityBits == lineBits);
+    out[7] |= uint64_t{bch_.parity(out.data())} << 44;
+    const Line512 encoded(out);
+    place(encoded);
     target[lineSymbols] = State::S1; // flag: encoded
 }
 

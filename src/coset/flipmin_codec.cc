@@ -15,6 +15,10 @@ FlipMinCodec::FlipMinCodec(const pcm::EnergyModel &energy,
                            uint64_t seed)
     : LineCodec(energy), masks_(ecc::flipMinMasks(numCandidates, seed))
 {
+    for (unsigned i = 0; i < lineSymbols; ++i)
+        for (unsigned c = 0; c < numCandidates; ++c)
+            maskSymbols_[i * numCandidates + c] =
+                static_cast<uint8_t>(masks_[c].symbol(i));
 }
 
 void
@@ -26,6 +30,7 @@ FlipMinCodec::encodeInto(const Line512 &data,
     assert(stored.size() == cellCount());
     (void)scratch;
     const Mapping &map = defaultMapping();
+    const simd::Ops &k = simd::ops();
 
     // Candidate index cells under the default bit packing: the low
     // two index bits share the first aux cell, the high two the
@@ -34,26 +39,29 @@ FlipMinCodec::encodeInto(const Line512 &data,
         return map.encode(index_bits & 3);
     };
 
+    // rows[s * 4 + x]: cost of writing symbol x over state s.
+    double rows[pcm::numStates * 4];
+    for (unsigned s = 0; s < pcm::numStates; ++s) {
+        const double *row = costRow(pcm::stateFromIndex(s));
+        for (unsigned x = 0; x < 4; ++x)
+            rows[s * 4 + x] = row[pcm::stateIndex(map.encode(x))];
+    }
+    uint64_t words[lineWords];
+    for (unsigned w = 0; w < lineWords; ++w)
+        words[w] = data.word(w);
+    double cost[numCandidates] = {};
+    k.scoreXorCandidates(rows,
+                         reinterpret_cast<const uint8_t *>(stored.data()),
+                         words, maskSymbols_.data(), lineSymbols, cost);
+
     double best_cost = std::numeric_limits<double>::infinity();
     unsigned best = 0;
     for (unsigned c = 0; c < numCandidates; ++c) {
-        const Line512 cand = data ^ masks_[c];
-        double cost = 0.0;
-        for (unsigned w = 0; w < lineWords; ++w) {
-            uint64_t word = cand.word(w);
-            for (unsigned k = 0; k < 32; ++k) {
-                const State t = map.encode(
-                    static_cast<unsigned>(word & 3));
-                cost += costRow(stored[w * 32 + k])
-                            [pcm::stateIndex(t)];
-                word >>= 2;
-            }
-        }
         // Include the cost of updating the two index cells.
-        cost += cellCost(stored[lineSymbols], aux_state(c));
-        cost += cellCost(stored[lineSymbols + 1], aux_state(c >> 2));
-        if (cost < best_cost) {
-            best_cost = cost;
+        cost[c] += cellCost(stored[lineSymbols], aux_state(c));
+        cost[c] += cellCost(stored[lineSymbols + 1], aux_state(c >> 2));
+        if (cost[c] < best_cost) {
+            best_cost = cost[c];
             best = c;
         }
     }
@@ -61,8 +69,10 @@ FlipMinCodec::encodeInto(const Line512 &data,
     target.reset(cellCount());
     target.setAuxStart(lineSymbols);
     const Line512 cand = data ^ masks_[best];
-    for (unsigned s = 0; s < lineSymbols; ++s)
-        target[s] = map.encode(cand.symbol(s));
+    uint8_t *tgt = reinterpret_cast<uint8_t *>(target.states());
+    for (unsigned w = 0; w < lineWords; ++w)
+        k.mapSymbols(cand.word(w), map.stateTable(), 0, 31,
+                     tgt + w * 32);
     target[lineSymbols] = aux_state(best);
     target[lineSymbols + 1] = aux_state(best >> 2);
 }

@@ -10,8 +10,10 @@
 #ifndef WLCRC_COSET_FLIPMIN_CODEC_HH
 #define WLCRC_COSET_FLIPMIN_CODEC_HH
 
+#include <array>
 #include <vector>
 
+#include "common/simd.hh"
 #include "coset/codec.hh"
 #include "coset/mapping.hh"
 
@@ -40,10 +42,13 @@ class FlipMinCodec : public LineCodec
     Line512 decode(
         const std::vector<pcm::State> &stored) const override;
 
-    static constexpr unsigned numCandidates = 16;
+    static constexpr unsigned numCandidates = simd::xorCandidates;
 
   private:
     std::vector<Line512> masks_;
+    /** Candidate c's mask symbol at cell i, at [i * 16 + c]: the
+     *  per-cell lanes simd::Ops::scoreXorCandidates reads. */
+    std::array<uint8_t, lineSymbols * numCandidates> maskSymbols_{};
 };
 
 } // namespace wlcrc::coset

@@ -85,38 +85,63 @@ Bch::Bch(unsigned m, unsigned t, unsigned data_bits)
     parity_ = gen_.size() - 1;
     if (dataBits_ + parity_ > field_.n())
         throw std::invalid_argument("Bch: payload too long");
+
+    // x^k mod gen for k = parity_ .. parity_ + 7, then every byte's
+    // remainder as the XOR of its set bits' rows.
+    assert(parity_ <= 32); // m <= 16, t <= 2
+    const uint64_t top = uint64_t{1} << parity_;
+    uint64_t low = 0;
+    for (unsigned j = 0; j < parity_; ++j)
+        low |= uint64_t{gen_[j]} << j;
+    uint64_t xpow[8];
+    uint64_t r = low; // x^parity_ mod gen
+    for (unsigned k = 0; k < 8; ++k) {
+        xpow[k] = r;
+        r <<= 1;
+        if (r & top)
+            r ^= top | low;
+    }
+    for (unsigned b = 0; b < 256; ++b)
+        for (unsigned k = 0; k < 8; ++k)
+            if (b >> k & 1)
+                lfsr_[b] ^= static_cast<uint32_t>(xpow[k]);
 }
 
 std::vector<uint8_t>
 Bch::encode(const std::vector<uint8_t> &data) const
 {
     assert(data.size() == dataBits_);
-    std::vector<uint8_t> cw(codewordBits());
-    encodeInto(data.data(), cw.data());
+    std::vector<uint64_t> words((dataBits_ + 63) / 64, 0);
+    for (unsigned j = 0; j < dataBits_; ++j)
+        words[j / 64] |= uint64_t{data[j] & 1u} << (j % 64);
+    const uint32_t p = parity(words.data());
+    std::vector<uint8_t> cw(data);
+    for (unsigned i = 0; i < parity_; ++i)
+        cw.push_back(static_cast<uint8_t>(p >> i & 1));
     return cw;
 }
 
-void
-Bch::encodeInto(const uint8_t *data, uint8_t *codeword) const
+uint32_t
+Bch::parity(const uint64_t *words) const
 {
-    // Systematic: codeword(x) = data(x) * x^parity + remainder.
-    // The work buffer holds data(x) * x^parity and is reduced in
-    // place; n = 2^m - 1 <= 1023 for every field this project
-    // constructs (m <= 10), so it fits on the stack.
-    assert(dataBits_ + parity_ <= 1023);
-    uint8_t shifted[1023];
-    std::fill_n(shifted, parity_, uint8_t{0});
-    std::copy(data, data + dataBits_, shifted + parity_);
-    for (size_t i = parity_ + dataBits_; i-- > parity_;) {
-        if (!shifted[i])
-            continue;
-        for (size_t j = 0; j < gen_.size(); ++j)
-            shifted[i - parity_ + j] ^= gen_[j];
+    // Systematic: codeword(x) = data(x) * x^parity + remainder, with
+    // data bit j the coefficient of x^(j + parity). The LFSR takes
+    // the payload a byte at a time from the top; the byte's high bit
+    // is its highest-degree coefficient. Zero bits above dataBits()
+    // leave the remainder unchanged, so the top byte is masked, not
+    // trimmed.
+    const uint64_t mask = (uint64_t{1} << parity_) - 1;
+    uint64_t reg = 0;
+    for (unsigned b = (dataBits_ + 7) / 8; b-- > 0;) {
+        uint64_t byte = (words[b / 8] >> (8 * (b % 8))) & 0xff;
+        if (8 * b + 8 > dataBits_)
+            byte &= (uint64_t{1} << (dataBits_ - 8 * b)) - 1;
+        if (parity_ >= 8)
+            reg = ((reg << 8) & mask) ^ lfsr_[(reg >> (parity_ - 8)) ^ byte];
+        else
+            reg = lfsr_[(reg << (8 - parity_)) ^ byte];
     }
-    // Layout: data bits first, then parity bits (= the remainder
-    // left in the low parity_ entries of the work buffer).
-    std::copy(data, data + dataBits_, codeword);
-    std::copy(shifted, shifted + parity_, codeword + dataBits_);
+    return static_cast<uint32_t>(reg);
 }
 
 int

@@ -6,7 +6,8 @@
  *
  * The code is constructed over GF(2^m) with n = 2^m - 1; the
  * generator polynomial is the LCM of the minimal polynomials of
- * alpha..alpha^{2t}. Encoding is systematic; decoding computes
+ * alpha..alpha^{2t}. Encoding is systematic, through a byte-at-a-time
+ * table-driven LFSR over the packed payload; decoding computes
  * syndromes and solves the error locator directly (closed form for
  * t <= 2) with a Chien search for root finding.
  */
@@ -14,6 +15,7 @@
 #ifndef WLCRC_ECC_BCH_HH
 #define WLCRC_ECC_BCH_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,12 +49,13 @@ class Bch
     std::vector<uint8_t> encode(const std::vector<uint8_t> &data) const;
 
     /**
-     * Allocation-free encode for the hot path: reads dataBits() bit
-     * bytes from @p data and writes codewordBits() bit bytes to
-     * @p codeword (data bits first, then parity). The buffers may
-     * not overlap.
+     * Allocation-free encode over packed bits: data bit j is bit
+     * j % 64 of @p words[j / 64] (bits at or past dataBits() are
+     * ignored).
+     * @return the parity bits, parity bit i at bit i — the bits
+     *         encode() appends after the data.
      */
-    void encodeInto(const uint8_t *data, uint8_t *codeword) const;
+    uint32_t parity(const uint64_t *words) const;
 
     /**
      * Decode @p received (codewordBits() bits), correcting in place.
@@ -71,6 +74,8 @@ class Bch
     unsigned dataBits_;
     unsigned parity_;
     std::vector<uint8_t> gen_;
+    /** lfsr_[b] = (b(x) * x^parity) mod gen(x), b of degree < 8. */
+    std::array<uint32_t, 256> lfsr_{};
 };
 
 } // namespace wlcrc::ecc

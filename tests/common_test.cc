@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -148,6 +149,48 @@ TEST(Rng, NextBelowCoversAllValues)
     for (int i = 0; i < 500; ++i)
         seen.insert(rng.nextBelow(7));
     EXPECT_EQ(seen.size(), 7u);
+}
+
+/** Frozen copy of the rejection loop nextBelow ran for every bound. */
+uint64_t
+rejectionNextBelow(Rng &rng, uint64_t bound)
+{
+    const uint64_t threshold = -bound % bound;
+    for (;;) {
+        const uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, NextBelowMatchesRejectionLoopDrawForDraw)
+{
+    // Power-of-two bounds take the inline masked path; the stream of
+    // draws and the generator state must not notice.
+    const uint64_t bounds[] = {1,
+                               2,
+                               3,
+                               4,
+                               5,
+                               7,
+                               256,
+                               255,
+                               1000,
+                               uint64_t{1} << 20,
+                               (uint64_t{1} << 20) + 1,
+                               uint64_t{1} << 63,
+                               (uint64_t{1} << 63) + 1,
+                               ~uint64_t{0}};
+    Rng fast(0x5eed), frozen(0x5eed);
+    Rng pick(77);
+    for (unsigned i = 0; i < 1000000; ++i) {
+        const uint64_t bound = bounds[pick.next() % std::size(bounds)];
+        ASSERT_EQ(fast.nextBelow(bound),
+                  rejectionNextBelow(frozen, bound))
+            << "call " << i << " bound " << bound;
+    }
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(fast.next(), frozen.next());
 }
 
 TEST(Rng, DoubleInUnitInterval)

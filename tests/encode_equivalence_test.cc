@@ -353,7 +353,7 @@ TEST(AllocationGuard, CompressionBackedSchemesAllocateNothing)
 {
     // The compressor bank builds its candidate streams in inline
     // BitBuffer storage and DIN's BCH stage encodes through
-    // Bch::encodeInto, so the compression-backed schemes hit the
+    // Bch::parity, so the compression-backed schemes hit the
     // same zero-allocation bar as the selection codecs.
     EXPECT_EQ(steadyStateAllocsPerWrite("DIN"), 0.0);
     EXPECT_EQ(steadyStateAllocsPerWrite("COC+4cosets"), 0.0);

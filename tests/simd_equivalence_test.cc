@@ -9,7 +9,8 @@
  * enforces that at three levels:
  *
  * 1. Kernel level: byteDiffMask / mapSymbols / accumRows4 / accumRows8
- *    of every available kernel against the scalar table, over
+ *    of every available kernel against the scalar table, and
+ *    scoreXorCandidates against one-candidate-at-a-time sums, over
  *    randomized inputs and the edge geometries (partial last word,
  *    single-cell ranges, range ends at 31); crc32 of every kernel
  *    against a bitwise reference kept here, at every length 0-1024,
@@ -252,6 +253,50 @@ checkAccumRows(unsigned stride, uint64_t seed)
 TEST(SimdKernels, AccumRows4BitIdentical) { checkAccumRows(4, 303); }
 
 TEST(SimdKernels, AccumRows8BitIdentical) { checkAccumRows(8, 404); }
+
+TEST(SimdKernels, ScoreXorCandidatesMatchesOneCandidateAtATime)
+{
+    // Independent reference: each candidate's sum on its own, cells
+    // ascending, exactly as FlipMin scored before the lane kernel.
+    constexpr unsigned lanes = simd::xorCandidates;
+    Rng rng(505);
+    for (const Kernel k : availableKernels()) {
+        const simd::Ops &ops = simd::opsFor(k);
+        for (const unsigned ncells :
+             {0u, 1u, 2u, 31u, 32u, 33u, 100u, 255u, 256u}) {
+            for (unsigned round = 0; round < 16; ++round) {
+                double rows[16];
+                for (auto &r : rows)
+                    r = rng.nextDouble() * 1000.0;
+                std::vector<uint8_t> stored(256), masks(256 * lanes);
+                for (auto &s : stored)
+                    s = static_cast<uint8_t>(rng.next() & 3);
+                for (auto &m : masks)
+                    m = static_cast<uint8_t>(rng.next() & 3);
+                uint64_t data[8];
+                for (auto &w : data)
+                    w = rng.next();
+                double got[lanes], want[lanes];
+                for (unsigned c = 0; c < lanes; ++c) {
+                    // Non-zero seeds: kernels must add, not overwrite.
+                    want[c] = got[c] = rng.nextDouble();
+                    for (unsigned i = 0; i < ncells; ++i) {
+                        const unsigned sym = static_cast<unsigned>(
+                            (data[i / 32] >> (2 * (i % 32))) & 3);
+                        want[c] +=
+                            rows[stored[i] * 4 + (sym ^ masks[i * lanes + c])];
+                    }
+                }
+                ops.scoreXorCandidates(rows, stored.data(), data,
+                                       masks.data(), ncells, got);
+                for (unsigned c = 0; c < lanes; ++c)
+                    EXPECT_EQ(got[c], want[c])
+                        << simd::kernelName(k) << " ncells=" << ncells
+                        << " lane " << c;
+            }
+        }
+    }
+}
 
 /** Random ascending, disjoint (not necessarily contiguous) block
  *  ranges over cells 0..31. */

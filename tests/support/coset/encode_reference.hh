@@ -1,0 +1,92 @@
+/**
+ * @file
+ * Serial reference of the FlipMin and DIN encode paths.
+ *
+ * FlipMinCodec scores its 16 candidates in lanes through
+ * simd::Ops::scoreXorCandidates, DinCodec expands and places its
+ * codeword a word at a time, and Bch::parity runs a byte-at-a-time
+ * LFSR. The code here is what they replaced, kept verbatim: FlipMin
+ * scores one candidate at a time over 256 cells, DIN reads its
+ * compressed stream a bit at a time, and the BCH remainder is
+ * reduced one bit byte at a time. The simulator never calls it.
+ * tests/encode_reference_test.cc and the `encode` stage of
+ * wlcrc_fuzz require the production codecs to match it bit for bit.
+ */
+
+#ifndef WLCRC_COSET_ENCODE_REFERENCE_HH
+#define WLCRC_COSET_ENCODE_REFERENCE_HH
+
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "compress/fpc_bdi.hh"
+#include "coset/codec.hh"
+#include "coset/din_codec.hh"
+#include "coset/flipmin_codec.hh"
+#include "ecc/bch.hh"
+
+namespace wlcrc::coset::reference
+{
+
+/**
+ * The BCH encoder as a bit-serial polynomial division: one byte per
+ * bit, the generator XORed in for every set data bit. Writes
+ * codewordBits() bit bytes, data bits first, then parity.
+ */
+void bchEncode(const ecc::Bch &bch, const uint8_t *data,
+               uint8_t *codeword);
+
+/** FlipMin scoring one candidate at a time; decode is FlipMinCodec's. */
+class FlipMin : public LineCodec
+{
+  public:
+    explicit FlipMin(const pcm::EnergyModel &energy,
+                     uint64_t seed = 0x51f0);
+
+    std::string name() const override { return "FlipMin"; }
+    unsigned cellCount() const override { return lineSymbols + 2; }
+    void encodeInto(const Line512 &data,
+                    std::span<const pcm::State> stored,
+                    EncodeScratch &scratch,
+                    pcm::TargetLine &target) const override;
+    Line512 decode(
+        const std::vector<pcm::State> &stored) const override;
+
+  private:
+    FlipMinCodec codec_;
+    std::vector<Line512> masks_;
+};
+
+/** DIN with a bit-serial stream and bchEncode; decode is DinCodec's. */
+class Din : public LineCodec
+{
+  public:
+    explicit Din(const pcm::EnergyModel &energy);
+
+    std::string name() const override { return "DIN"; }
+    unsigned cellCount() const override { return lineSymbols + 1; }
+    void encodeInto(const Line512 &data,
+                    std::span<const pcm::State> stored,
+                    EncodeScratch &scratch,
+                    pcm::TargetLine &target) const override;
+    Line512 decode(
+        const std::vector<pcm::State> &stored) const override;
+
+  private:
+    DinCodec codec_;
+    compress::FpcBdi compressor_;
+    ecc::Bch bch_;
+};
+
+/**
+ * The reference codec of @p scheme ("FlipMin" or "DIN").
+ * @throws std::invalid_argument for any other scheme.
+ */
+CodecPtr makeReference(const std::string &scheme,
+                       const pcm::EnergyModel &energy);
+
+} // namespace wlcrc::coset::reference
+
+#endif // WLCRC_COSET_ENCODE_REFERENCE_HH

@@ -31,6 +31,15 @@
  * does (WriteStats bytes, stored cells, update/disturbed masks, rng
  * state).
  *
+ * A seeded encode stage follows: FlipMin (16 XOR-mask candidates
+ * scored in lanes) and DIN (word-level 3-to-4 expansion, table-driven
+ * BCH parity) must encode pattern-biased lines over random stored
+ * lines, under the paper's and a fractional energy model, exactly as
+ * their serial references in tests/support/coset/encode_reference.hh
+ * do (TargetLine cell for cell), under every kernel and under the
+ * scalar-scoring hook; random 492-bit payloads must get the
+ * reference's BCH parity.
+ *
  * A seeded WRK1 stage follows: an in-process distributed-sweep head
  * (runner/remote.hh) is bombarded with hostile client streams —
  * raw garbage, random frame types, oversized and truncated frame
@@ -69,6 +78,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "coset/codec.hh"
+#include "coset/encode_reference.hh"
 #include "net/conn_server.hh"
 #include "net/frame.hh"
 #include "pcm/disturbance.hh"
@@ -99,9 +109,9 @@ usage(std::FILE *to)
         "available SIMD kernel and the scalar-scoring test hook,\n"
         "failing loudly on any bit difference from the scalar\n"
         "reference. Seeded CRC-32 kernel, LZ round-trip/mutation,\n"
-        "device program (against its serial reference) and hostile\n"
-        "WRK1 client stages run first. Exits 0 on a clean run, 1 on\n"
-        "a mismatch.\n");
+        "device program and FlipMin/DIN encode (against their serial\n"
+        "references) and hostile WRK1 client stages run first.\n"
+        "Exits 0 on a clean run, 1 on a mismatch.\n");
 }
 
 std::vector<Kernel>
@@ -429,6 +439,75 @@ fuzzRate(Rng &rng)
     }
 }
 
+/** A production codec and its serial reference. */
+struct ReferencePair
+{
+    coset::CodecPtr fast;
+    coset::CodecPtr ref;
+};
+
+/**
+ * One seeded encode case: every FlipMin/DIN pair must encode one
+ * line identically under every kernel and the scoring hook, and the
+ * DIN code's parity must match the bit-serial division.
+ * @return false (after a report) on a mismatch.
+ */
+bool
+encodeFuzzCase(uint64_t iseed, const std::vector<Kernel> &kernels,
+               const std::vector<ReferencePair> &pairs,
+               const ecc::Bch &bch)
+{
+    Rng rng(iseed);
+    const Line512 data = fuzzLine(rng);
+    for (const ReferencePair &p : pairs) {
+        const auto stored = fuzzStored(rng, p.fast->cellCount());
+        pcm::TargetLine want;
+        {
+            KernelScope scalar(Kernel::Scalar);
+            want = p.ref->encode(data, stored);
+        }
+        for (const Kernel k : kernels) {
+            KernelScope scope(k);
+            bool same =
+                sameTarget(p.fast->encode(data, stored), want,
+                           simd::kernelName(k));
+            if (same) {
+                ScalarScoringScope hook;
+                same = sameTarget(p.fast->encode(data, stored), want,
+                                  "encode stage, scoring hook");
+            }
+            if (!same) {
+                dumpCase(iseed, p.fast->name(), data, stored);
+                return false;
+            }
+        }
+    }
+
+    std::vector<uint8_t> bits(bch.dataBits());
+    uint8_t want[lineBits];
+    uint64_t words[lineWords] = {};
+    for (unsigned j = 0; j < bch.dataBits(); ++j) {
+        bits[j] = static_cast<uint8_t>(rng.next() & 1);
+        words[j / 64] |= uint64_t{bits[j]} << (j % 64);
+    }
+    coset::reference::bchEncode(bch, bits.data(), want);
+    const std::vector<uint8_t> got = bch.encode(bits);
+    const uint32_t parity = bch.parity(words);
+    for (unsigned i = 0; i < bch.codewordBits(); ++i) {
+        const unsigned fromParity =
+            i < bch.dataBits() ? bits[i]
+                               : (parity >> (i - bch.dataBits())) & 1;
+        if (got[i] != want[i] || fromParity != want[i]) {
+            std::fprintf(stderr,
+                         "MISMATCH (encode stage): BCH codeword bit "
+                         "%u, iteration seed %llu\n",
+                         i, static_cast<unsigned long long>(iseed));
+            return false;
+        }
+    }
+    return true;
+}
+
 /**
  * One seeded device-program case: the branch-free write path against
  * its serial reference, through WriteUnit::program and directly
@@ -717,6 +796,20 @@ main(int argc, char **argv)
         for (uint64_t iter = 0; iter < iters; ++iter)
             if (!programFuzzCase(childSeed(seed ^ 0x70726dull, iter)))
                 return 1;
+        {
+            std::vector<ReferencePair> pairs;
+            for (const pcm::EnergyModel &e :
+                 {energy, pcm::EnergyModel(0.1, {0.0, 0.7, 3.3, 11.9})})
+                for (const char *scheme : {"FlipMin", "DIN"})
+                    pairs.push_back(
+                        {core::makeCodec(scheme, e),
+                         coset::reference::makeReference(scheme, e)});
+            const ecc::Bch dinBch(10, 2, coset::DinCodec::expandedBits);
+            for (uint64_t iter = 0; iter < iters; ++iter)
+                if (!encodeFuzzCase(childSeed(seed ^ 0x656e63ull, iter),
+                                    kernels, pairs, dinBch))
+                    return 1;
+        }
 
         // WRK1 stage: hostile client streams against an idle
         // distributed-sweep head. Connections are cheap on
@@ -815,9 +908,11 @@ main(int argc, char **argv)
 
         std::fprintf(stderr,
                      "ok: %llu crc cases + %llu lz cases + %llu "
-                     "program cases + %llu hostile wrk1 streams "
+                     "program cases + %llu encode-stage cases + %llu "
+                     "hostile wrk1 streams "
                      "(%llu named errors) + %llu encodes + %zu replay "
                      "streams, all kernels bit-identical\n",
+                     static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(iters),
                      static_cast<unsigned long long>(iters),
