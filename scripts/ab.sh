@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Paired A/B runs: a base commit against the work tree.
 #
-#   scripts/ab.sh BASE_REF WORKLOAD K [SECONDS] [SEED]
+#   scripts/ab.sh [--json OUT] [--require METRIC:RATIO]...
+#                 BASE_REF WORKLOAD K [SECONDS] [SEED]
 #
 # Exports BASE_REF (git archive) and the work tree (tracked and
 # untracked, non-ignored files) into .bench_build/ab/base and
@@ -18,16 +19,36 @@
 # an e2ebench run that is not correct, stops the script.
 #
 # Output, per metric: base and change medians, the base runs' IQR,
-# the change/base ratio of medians and how many of the K pairs the
-# change won (in the metric's better direction). Raw per-run metrics
-# go to .bench_build/ab/runs.jsonl. The script changes no gate,
-# bound or baseline.
+# the change/base ratio of medians, how many of the K pairs the
+# change won (in the metric's better direction) and each side's
+# min..max. Raw per-run metrics go to .bench_build/ab/runs.jsonl.
+#   --json OUT      also write the paired record (workload, base ref,
+#                   K, seconds, seed, simd and the per-metric figures)
+#                   to OUT as JSON.
+#   --require M:R   same-session gate: exit 1 unless the change is at
+#                   least R times better than the base on metric M
+#                   (change/base medians for higher-is-better metrics,
+#                   base/change for lower-is-better ones) and wins at
+#                   least 9 of every 10 pairs. May be repeated.
+# The script changes no gate, bound or baseline of the repository.
 set -euo pipefail
 
-if [[ $# -lt 3 ]]; then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+usage() {
+    sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
-fi
+}
+json_out="" requires=()
+while [[ $# -gt 0 && $1 == --* ]]; do
+    case $1 in
+    --json) [[ $# -ge 2 ]] || usage; json_out=$(realpath -m "$2"); shift 2 ;;
+    --require)
+        [[ $# -ge 2 && $2 =~ ^[^:]+:[0-9]*\.?[0-9]+$ ]] ||
+            { echo "ab.sh: --require takes METRIC:RATIO" >&2; exit 2; }
+        requires+=("$2"); shift 2 ;;
+    *) usage ;;
+    esac
+done
+[[ $# -ge 3 ]] || usage
 base_ref=$1 workload=$2 pairs=$3 seconds=${4:-30} seed=${5:-3}
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || { echo "ab.sh: K must be a positive integer" >&2; exit 2; }
 
@@ -110,9 +131,12 @@ for ((i = 1; i <= pairs; i++)); do
     echo "ab.sh: pair $i/$pairs done" >&2
 done
 
-python3 - "$runs" "$base_ref" "$workload" <<'EOF'
+python3 - "$runs" "$base_ref" "$base_sha" "$workload" "$seconds" "$seed" \
+    "${WLCRC_SIMD:-auto}" "$json_out" ${requires[@]+"${requires[@]}"} <<'EOF'
 import json, statistics, sys
-runs = [json.loads(line) for line in open(sys.argv[1])]
+(runs_path, base_ref, base_sha, workload, seconds, seed, simd,
+ json_out, *requires) = sys.argv[1:]
+runs = [json.loads(line) for line in open(runs_path)]
 LOWER = ("cpu_s", "peak_rss", "setup_s", "ns_per")
 def quartiles(xs):
     xs = sorted(xs)
@@ -125,9 +149,11 @@ for r in runs:
     pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
 names = list(runs[0]["metrics"])
 k = len(pairs)
-print(f"{sys.argv[3]}: {k} pairs, base {sys.argv[2]} vs work tree")
+print(f"{workload}: {k} pairs, base {base_ref} vs work tree")
 print(f"{'metric':32} {'base med':>12} {'change med':>12} "
-      f"{'base IQR':>12} {'ratio':>7} {'wins':>7}")
+      f"{'base IQR':>12} {'ratio':>7} {'wins':>7}  "
+      f"{'base min..max':>23}  {'change min..max':>23}")
+metrics = {}
 for name in names:
     lower = any(tag in name for tag in LOWER)
     b = [p["base"][name] for p in pairs.values()]
@@ -137,6 +163,38 @@ for name in names:
                for x, y in zip(c, b))
     mb, mc = statistics.median(b), statistics.median(c)
     ratio = mc / mb if mb else float("nan")
+    metrics[name] = {
+        "better": "lower" if lower else "higher",
+        "base_median": mb, "change_median": mc, "base_iqr": q3 - q1,
+        "ratio": ratio, "wins": wins,
+        "base_min": min(b), "base_max": max(b),
+        "change_min": min(c), "change_max": max(c)}
     print(f"{name:32} {mb:12.6g} {mc:12.6g} {q3 - q1:12.4g} "
-          f"{ratio:7.3f} {wins:>3}/{k:<3}")
+          f"{ratio:7.3f} {wins:>3}/{k:<3}  "
+          f"{min(b):11.5g}..{max(b):<11.5g} "
+          f"{min(c):11.5g}..{max(c):<11.5g}")
+failed = []
+for req in requires:
+    name, bound = req.rsplit(":", 1)
+    if name not in metrics:
+        sys.exit(f"ab.sh: --require names unknown metric {name}")
+    m = metrics[name]
+    gain = (m["base_median"] / m["change_median"]
+            if m["better"] == "lower" else m["ratio"])
+    ok = gain >= float(bound) and 10 * m["wins"] >= 9 * k
+    print(f"require {name} x{float(bound):g}: gain x{gain:.3f}, "
+          f"wins {m['wins']}/{k}: {'pass' if ok else 'FAIL'}")
+    if not ok:
+        failed.append(name)
+if json_out:
+    bench = workload.startswith("bench_")
+    record = {"workload": workload, "base_ref": base_ref,
+              "base_sha": base_sha, "pairs": k,
+              "seconds": None if bench else float(seconds),
+              "seed": None if bench else int(seed),
+              "simd": simd, "metrics": metrics}
+    with open(json_out, "w") as f:
+        json.dump(record, f, indent=2)
+        f.write("\n")
+sys.exit(1 if failed else 0)
 EOF

@@ -1,5 +1,6 @@
 #include "simd.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <stdexcept>
@@ -109,6 +110,7 @@ constexpr Ops scalarOps = {scalarByteDiffMask, scalarMapSymbols,
                            scalarAccumRows4, scalarAccumRows8,
                            scalarAccumBlocks4, scalarMapBlocks,
                            detail::scalarScoreXorCandidates,
+                           detail::scalarSelectRestricted,
                            detail::scalarCrc32};
 
 /** The avx2 table needs AVX2, and PCLMULQDQ for its crc32 kernel. */
@@ -217,6 +219,107 @@ scalarScoreXorCandidates(const double *rows, const uint8_t *stored,
         const uint8_t *m = masks + i * xorCandidates;
         for (unsigned c = 0; c < xorCandidates; ++c)
             acc[c] += row[sym ^ m[c]];
+    }
+}
+
+void
+scalarSelectRestricted(const RestrictedPlan &plan, const double *select,
+                       const double *cost, const uint8_t *stored,
+                       const uint64_t *words, uint64_t *out)
+{
+    const unsigned nblocks = plan.numBlocks;
+    for (unsigned w = 0; w < selectWords; ++w) {
+        const uint64_t word = words[w];
+        const uint8_t *cells = stored + 32 * w;
+        const double *costE = cost + std::size_t{w} * nblocks * 4;
+        double group_cost[2] = {};
+        uint8_t pick[2][selectMaxBlocks] = {};
+        for (unsigned g = 0; g < 2; ++g) {
+            const unsigned alt = g + 1;
+            double total = 0.0;
+
+            // Pass 1: selector bits held in aux-only cells; two bits
+            // sharing one cell are decided jointly. Best-so-far
+            // tracking uses selects, not branches: the winner is
+            // data-dependent.
+            for (unsigned a = 0; a < plan.numAux; ++a) {
+                const RestrictedPlan::Aux &ap = plan.aux[a];
+                const double *arow = select + cells[ap.cell] * 4u;
+                const uint8_t *atab = ap.map.data();
+                const int hi = ap.hi;
+                const int lo = ap.lo;
+                const unsigned hb_fix = hi == -1 ? g : 0;
+                const unsigned lb_fix = lo == -1 ? g : 0;
+                if (hi >= 0 && lo >= 0) {
+                    const unsigned hu = static_cast<unsigned>(hi);
+                    const unsigned lu = static_cast<unsigned>(lo);
+                    const double chi0 = costE[4 * hu];
+                    const double chiA = costE[4 * hu + alt];
+                    const double clo0 = costE[4 * lu];
+                    const double cloA = costE[4 * lu + alt];
+                    const double c00 = arow[atab[0]] + chi0 + clo0;
+                    const double c01 = arow[atab[1]] + chi0 + cloA;
+                    const double c10 = arow[atab[2]] + chiA + clo0;
+                    const double c11 = arow[atab[3]] + chiA + cloA;
+                    double bv = c00;
+                    unsigned bi = 0;
+                    bi = c01 < bv ? 1 : bi;
+                    bv = std::min(c01, bv);
+                    bi = c10 < bv ? 2 : bi;
+                    bv = std::min(c10, bv);
+                    bi = c11 < bv ? 3 : bi;
+                    bv = std::min(c11, bv);
+                    pick[g][hu] = static_cast<uint8_t>(bi >> 1);
+                    pick[g][lu] = static_cast<uint8_t>(bi & 1);
+                    total += bv;
+                } else if (hi >= 0 || lo >= 0) {
+                    const unsigned bu =
+                        static_cast<unsigned>(hi >= 0 ? hi : lo);
+                    const unsigned s0 =
+                        hi >= 0 ? lb_fix : (hb_fix << 1);
+                    const unsigned s1 = hi >= 0 ? (1u << 1) | lb_fix
+                                                : (hb_fix << 1) | 1u;
+                    const double c0 = arow[atab[s0]] + costE[4 * bu];
+                    const double c1 =
+                        arow[atab[s1]] + costE[4 * bu + alt];
+                    pick[g][bu] = static_cast<uint8_t>(c1 < c0);
+                    total += std::min(c1, c0);
+                } else {
+                    total += arow[atab[(hb_fix << 1) | lb_fix]];
+                }
+            }
+
+            // Pass 2: selector bits that share a data cell with a
+            // host block, already decided; the host's candidate maps
+            // the shared cell.
+            for (unsigned sp = 0; sp < plan.numShared; ++sp) {
+                const RestrictedPlan::Shared &sh = plan.shared[sp];
+                const uint8_t *host_tab =
+                    plan.cand[pick[g][sh.host] ? alt : 0].data();
+                const unsigned data_bit =
+                    static_cast<unsigned>((word >> (sh.pos - 1)) & 1);
+                const double *srow = select + cells[sh.pos / 2] * 4u;
+                const double c0 =
+                    srow[host_tab[data_bit]] + costE[4 * sh.block];
+                const double c1 = srow[host_tab[2 | data_bit]] +
+                                  costE[4 * sh.block + alt];
+                const bool t1 = c1 < c0;
+                pick[g][sh.block] = static_cast<uint8_t>(t1);
+                total += t1 ? c1 : c0;
+            }
+            group_cost[g] = total;
+        }
+
+        // Ties go to group 0.
+        const unsigned group = group_cost[1] < group_cost[0] ? 1 : 0;
+        uint64_t o = word;
+        auto set_bit = [&o](unsigned pos, unsigned v) {
+            o = (o & ~(uint64_t{1} << pos)) | (uint64_t(v & 1) << pos);
+        };
+        set_bit(plan.groupBitPos, group);
+        for (unsigned b = 0; b < nblocks; ++b)
+            set_bit(plan.blockBitPos[b], pick[group][b]);
+        out[w] = o;
     }
 }
 

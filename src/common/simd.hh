@@ -8,7 +8,9 @@
  *  - the word-wise differential scan (which cells changed),
  *  - per-candidate symbol mapping (2-bit symbols -> cell states),
  *  - cost-row candidate scoring (per-cell 4/8-lane double adds, and
- *    16 XOR-mask candidates scored one lane each).
+ *    16 XOR-mask candidates scored one lane each), and WLCRC's
+ *    restricted-coset choice for a line's eight words, one lane
+ *    per word.
  * A fourth dominates reading a trace container: the CRC-32 that
  * verifies every record block (wlcrc::crc32, common/crc32.hh).
  *
@@ -30,6 +32,7 @@
 #ifndef WLCRC_COMMON_SIMD_HH
 #define WLCRC_COMMON_SIMD_HH
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +46,50 @@ enum class Kernel : uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
 
 /** Number of Kernel enumerators. */
 inline constexpr unsigned numKernels = 3;
+
+/** Words of one line: the lanes of Ops::selectRestricted. */
+inline constexpr unsigned selectWords = 8;
+
+/** Upper bound on the blocks of one restricted-coset word. */
+inline constexpr unsigned selectMaxBlocks = 8;
+
+/**
+ * One WLCRC restricted-coset word layout, flattened for
+ * Ops::selectRestricted. Candidate 0 is C1; group g (0 or 1) lets
+ * every block choose between C1 and candidate g + 1. Mapping tables
+ * take a 2-bit symbol to a state index.
+ */
+struct RestrictedPlan
+{
+    /** An aux-only cell and the owners of its high and low bit:
+     *  -1 = the group bit, -2 = unused, else a block index. */
+    struct Aux
+    {
+        uint8_t cell;
+        int8_t hi;
+        int8_t lo;
+        std::array<uint8_t, 4> map; //!< the cell's symbol -> state
+    };
+    /** A block whose selector bit @c pos is the high bit of a data
+     *  cell of block @c host, so host's candidate maps that cell. */
+    struct Shared
+    {
+        uint8_t block;
+        uint8_t host;
+        uint8_t pos;
+    };
+
+    unsigned numBlocks = 0;
+    unsigned numAux = 0;
+    unsigned numShared = 0;
+    unsigned groupBitPos = 0;
+    std::array<uint8_t, selectMaxBlocks> blockBitPos{};
+    std::array<Aux, 4> aux{};
+    /** In decode order: every host is decided before its guest. */
+    std::array<Shared, 4> shared{};
+    /** Candidates C1, C2, C3. */
+    std::array<std::array<uint8_t, 4>, 3> cand{};
+};
 
 /**
  * The kernel function table. All pointers are always valid; the
@@ -132,6 +179,41 @@ struct Ops
                                double *acc);
 
     /**
+     * WLCRC restricted-coset selection for the selectWords words of
+     * one line, one lane per word. Inputs:
+     *  - @p select: the [stored state * 4 + target state] selection
+     *    cost table;
+     *  - @p cost: block costs, cost[(w * plan.numBlocks + b) * 4 + m]
+     *    for word w, block b and candidate m (m = 3 is not read);
+     *  - @p stored: the line's 256 stored cell states, word w's
+     *    cells at stored[32 * w ..];
+     *  - @p words: the data words.
+     * Writes out[w] = words[w] with the group bit and every block's
+     * selector bit set to word w's choice (bit 1 = the group's
+     * alternative candidate). Per word and group g, with
+     * alt = g + 1 and row = select + 4 * (stored state of the cell):
+     *  - pass 1, per aux cell in plan order: with both bits owned by
+     *    blocks, c_xy = (row[map[2x + y]] + cost[hi][x ? alt : 0])
+     *    + cost[lo][y ? alt : 0], taken in the order 00, 01, 10, 11
+     *    with strict-< first-wins ties; with one block bit, its two
+     *    choices c_x = row[map[sym_x]] + cost[b][x ? alt : 0]
+     *    (strict-<, c_0 on ties), the other bit being g if it is the
+     *    group bit and 0 if unused; with none, the fixed symbol's
+     *    row entry. The winner's cost is added to the group total,
+     *    which starts at 0.0;
+     *  - pass 2, per shared plan in order: c_x = row[cand[h][2x +
+     *    data bit]] + cost[block][x ? alt : 0], where h is the
+     *    host's chosen candidate; strict-<, c_0 on ties;
+     *  - group 1 wins iff total_1 < total_0.
+     * Vector kernels compute the same doubles in the same order per
+     * lane, so every kernel makes the same choices.
+     */
+    void (*selectRestricted)(const RestrictedPlan &plan,
+                             const double *select, const double *cost,
+                             const uint8_t *stored,
+                             const uint64_t *words, uint64_t *out);
+
+    /**
      * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of
      * @p data[0..len), continuing from @p seed, the checksum of the
      * bytes before it (0 starts a new message): the wlcrc::crc32()
@@ -188,6 +270,13 @@ void scalarScoreXorCandidates(const double *rows,
                               const uint64_t *data,
                               const uint8_t *masks, unsigned ncells,
                               double *acc);
+
+/** The scalar selectRestricted kernel (the neon table's entry,
+ *  and the codecs' scoring-hook path). */
+void scalarSelectRestricted(const RestrictedPlan &plan,
+                            const double *select, const double *cost,
+                            const uint8_t *stored,
+                            const uint64_t *words, uint64_t *out);
 
 /** The scalar crc32 kernel; vector kernels finish short buffers and
  *  tails with it. */

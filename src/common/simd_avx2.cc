@@ -12,7 +12,10 @@
  * order as the scalar reference (vaddpd is four independent per-lane
  * adds), and so does scoreXorCandidates, whose vpermd only moves
  * doubles between lanes, so every kernel reproduces the scalar
- * results exactly.
+ * results exactly. selectRestricted runs the scalar per-word
+ * selection with one word per lane: the same adds in the same order,
+ * vcmppd for every strict-< and minpd with the operand order of the
+ * scalar std::min.
  * crc32Pclmul is exact carry-less arithmetic over GF(2).
  */
 
@@ -149,26 +152,28 @@ accumBlocks4Avx2(const double *rows, const uint8_t *stored,
                  uint64_t word, const uint8_t *lo, const uint8_t *hi,
                  unsigned nblocks, double *acc)
 {
+    // Row index (stored * 4 + sym) of all 32 cells, decoded up front
+    // in one vector pass (stored states are 0..3, so the 16-bit shift
+    // carries nothing across bytes).
+    alignas(32) uint8_t idx[32];
+    _mm256_store_si256(
+        reinterpret_cast<__m256i *>(idx),
+        _mm256_or_si256(
+            _mm256_slli_epi16(
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(stored)),
+                2),
+            symbolsOf(word)));
     // One accumulator register per block: the per-block chains are
     // independent, so out-of-order execution overlaps them while
     // each chain still adds its cells in ascending order — the
     // per-block sums are bit-identical to accumRows4 per block.
-    __m256d a[8];
-    for (unsigned b = 0; b < nblocks; ++b)
-        a[b] = _mm256_loadu_pd(acc + 4 * b);
     for (unsigned b = 0; b < nblocks; ++b) {
-        uint64_t w = word >> (2 * lo[b]);
-        __m256d ab = a[b];
-        for (unsigned c = lo[b]; c <= hi[b]; ++c) {
-            const auto sym = static_cast<unsigned>(w & 3);
-            w >>= 2;
-            const double *row = rows + (stored[c] * 4u + sym) * 4u;
-            ab = _mm256_add_pd(ab, _mm256_loadu_pd(row));
-        }
-        a[b] = ab;
+        __m256d ab = _mm256_loadu_pd(acc + 4 * b);
+        for (unsigned c = lo[b]; c <= hi[b]; ++c)
+            ab = _mm256_add_pd(ab, _mm256_loadu_pd(rows + idx[c] * 4u));
+        _mm256_storeu_pd(acc + 4 * b, ab);
     }
-    for (unsigned b = 0; b < nblocks; ++b)
-        _mm256_storeu_pd(acc + 4 * b, a[b]);
 }
 
 void
@@ -272,6 +277,205 @@ scoreXorCandidatesAvx2(const double *rows, const uint8_t *stored,
     _mm256_storeu_pd(acc + 12, a3);
 }
 
+/** Transpose four 4-double rows into four columns. */
+inline void
+transpose4(__m256d r0, __m256d r1, __m256d r2, __m256d r3, __m256d *c)
+{
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+    c[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    c[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    c[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    c[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+/**
+ * The four selection-cost rows of cell @p c of the four words at
+ * @p cells, one lane per word: lane w of r[t] is
+ * select[s_w * 4 + t], where s_w is the cell's stored state in word
+ * w and col[t] is column t of the table. One vpermd per row.
+ */
+inline void
+rowsOfCell(const __m256d *col, const uint8_t *cells, unsigned c,
+           __m256d *r)
+{
+    const int s0 = 2 * cells[c], s1 = 2 * cells[32 + c];
+    const int s2 = 2 * cells[64 + c], s3 = 2 * cells[96 + c];
+    const __m256i lanes = _mm256_setr_epi32(
+        s0, s0 + 1, s1, s1 + 1, s2, s2 + 1, s3, s3 + 1);
+    for (unsigned t = 0; t < 4; ++t)
+        r[t] = _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
+            _mm256_castpd_si256(col[t]), lanes));
+}
+
+/**
+ * The restricted-coset selection of four words, one per lane: the
+ * scalar kernel's per-word passes with every double computed by the
+ * same adds in the same order, and every choice a compare mask.
+ * The groups' passes are interleaved cell by cell (each group still
+ * adds its winners in plan order), so each cell's rows are looked
+ * up once for both groups.
+ */
+void
+selectRestrictedQuad(const RestrictedPlan &plan, const __m256d *col,
+                     const double *cost, const uint8_t *cells,
+                     const uint64_t *words, uint64_t *out)
+{
+    const unsigned nb = plan.numBlocks;
+    const unsigned stride = nb * 4;
+    // [block][candidate], lanes = words.
+    __m256d c[selectMaxBlocks][4];
+    for (unsigned b = 0; b < nb; ++b)
+        transpose4(_mm256_loadu_pd(cost + 4 * b),
+                   _mm256_loadu_pd(cost + stride + 4 * b),
+                   _mm256_loadu_pd(cost + 2 * stride + 4 * b),
+                   _mm256_loadu_pd(cost + 3 * stride + 4 * b), c[b]);
+    const __m256i w = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(words));
+
+    __m256d total[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+    __m256d pick[2][selectMaxBlocks];
+    for (unsigned b = 0; b < nb; ++b)
+        pick[0][b] = pick[1][b] = _mm256_setzero_pd();
+
+    // Pass 1: aux-only cells.
+    for (unsigned a = 0; a < plan.numAux; ++a) {
+        const RestrictedPlan::Aux &ap = plan.aux[a];
+        __m256d r[4];
+        rowsOfCell(col, cells, ap.cell, r);
+        const uint8_t *map = ap.map.data();
+        const int hi = ap.hi;
+        const int lo = ap.lo;
+        if (hi >= 0 && lo >= 0) {
+            const __m256d *ch = c[hi];
+            const __m256d *cl = c[lo];
+            const __m256d c00 =
+                _mm256_add_pd(_mm256_add_pd(r[map[0]], ch[0]), cl[0]);
+            for (unsigned g = 0; g < 2; ++g) {
+                const unsigned alt = g + 1;
+                const __m256d c01 = _mm256_add_pd(
+                    _mm256_add_pd(r[map[1]], ch[0]), cl[alt]);
+                const __m256d c10 = _mm256_add_pd(
+                    _mm256_add_pd(r[map[2]], ch[alt]), cl[0]);
+                const __m256d c11 = _mm256_add_pd(
+                    _mm256_add_pd(r[map[3]], ch[alt]), cl[alt]);
+                // bv = std::min(c, bv) is minpd(bv, c); the pick
+                // bits follow each strict-< take.
+                __m256d t = _mm256_cmp_pd(c01, c00, _CMP_LT_OQ);
+                __m256d bv = _mm256_min_pd(c00, c01);
+                __m256d ph = _mm256_setzero_pd();
+                __m256d pl = t;
+                t = _mm256_cmp_pd(c10, bv, _CMP_LT_OQ);
+                bv = _mm256_min_pd(bv, c10);
+                ph = _mm256_or_pd(ph, t);
+                pl = _mm256_andnot_pd(t, pl);
+                t = _mm256_cmp_pd(c11, bv, _CMP_LT_OQ);
+                bv = _mm256_min_pd(bv, c11);
+                ph = _mm256_or_pd(ph, t);
+                pl = _mm256_or_pd(pl, t);
+                pick[g][hi] = ph;
+                pick[g][lo] = pl;
+                total[g] = _mm256_add_pd(total[g], bv);
+            }
+        } else if (hi >= 0 || lo >= 0) {
+            const unsigned bu = static_cast<unsigned>(hi >= 0 ? hi : lo);
+            for (unsigned g = 0; g < 2; ++g) {
+                const unsigned hb_fix = hi == -1 ? g : 0;
+                const unsigned lb_fix = lo == -1 ? g : 0;
+                const unsigned s0 = hi >= 0 ? lb_fix : (hb_fix << 1);
+                const unsigned s1 = hi >= 0 ? (1u << 1) | lb_fix
+                                            : (hb_fix << 1) | 1u;
+                const __m256d c0 = _mm256_add_pd(r[map[s0]], c[bu][0]);
+                const __m256d c1 =
+                    _mm256_add_pd(r[map[s1]], c[bu][g + 1]);
+                pick[g][bu] = _mm256_cmp_pd(c1, c0, _CMP_LT_OQ);
+                // std::min(c1, c0) is minpd(c0, c1).
+                total[g] =
+                    _mm256_add_pd(total[g], _mm256_min_pd(c0, c1));
+            }
+        } else {
+            for (unsigned g = 0; g < 2; ++g) {
+                const unsigned hb_fix = hi == -1 ? g : 0;
+                const unsigned lb_fix = lo == -1 ? g : 0;
+                total[g] = _mm256_add_pd(total[g],
+                                         r[map[(hb_fix << 1) | lb_fix]]);
+            }
+        }
+    }
+
+    // Pass 2: selector bits in a host block's data cell.
+    for (unsigned sp = 0; sp < plan.numShared; ++sp) {
+        const RestrictedPlan::Shared &sh = plan.shared[sp];
+        __m256d r[4];
+        rowsOfCell(col, cells, sh.pos / 2, r);
+        const __m256i bit =
+            _mm256_set1_epi64x(int64_t{1} << (sh.pos - 1));
+        const __m256d one = _mm256_castsi256_pd(
+            _mm256_cmpeq_epi64(_mm256_and_si256(w, bit), bit));
+        // Per lane: row[cand[m][2x + data bit]].
+        const auto row = [&](unsigned m, unsigned x) {
+            const uint8_t *t = plan.cand[m].data() + 2 * x;
+            return _mm256_blendv_pd(r[t[0]], r[t[1]], one);
+        };
+        const __m256d v00 = row(0, 0);
+        const __m256d v01 = row(0, 1);
+        for (unsigned g = 0; g < 2; ++g) {
+            const __m256d host = pick[g][sh.host];
+            const __m256d c0 = _mm256_add_pd(
+                _mm256_blendv_pd(v00, row(g + 1, 0), host),
+                c[sh.block][0]);
+            const __m256d c1 = _mm256_add_pd(
+                _mm256_blendv_pd(v01, row(g + 1, 1), host),
+                c[sh.block][g + 1]);
+            const __m256d t1 = _mm256_cmp_pd(c1, c0, _CMP_LT_OQ);
+            pick[g][sh.block] = t1;
+            total[g] =
+                _mm256_add_pd(total[g], _mm256_blendv_pd(c0, c1, t1));
+        }
+    }
+
+    // Ties go to group 0; then set the group and selector bits.
+    const __m256d group = _mm256_cmp_pd(total[1], total[0], _CMP_LT_OQ);
+    uint64_t clear = uint64_t{1} << plan.groupBitPos;
+    __m256i set = _mm256_and_si256(
+        _mm256_castpd_si256(group),
+        _mm256_set1_epi64x(static_cast<int64_t>(clear)));
+    for (unsigned b = 0; b < nb; ++b) {
+        const uint64_t bit = uint64_t{1} << plan.blockBitPos[b];
+        clear |= bit;
+        const __m256d chosen =
+            _mm256_blendv_pd(pick[0][b], pick[1][b], group);
+        set = _mm256_or_si256(
+            set, _mm256_and_si256(
+                     _mm256_castpd_si256(chosen),
+                     _mm256_set1_epi64x(static_cast<int64_t>(bit))));
+    }
+    const __m256i o = _mm256_or_si256(
+        _mm256_andnot_si256(
+            _mm256_set1_epi64x(static_cast<int64_t>(clear)), w),
+        set);
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), o);
+}
+
+void
+selectRestrictedAvx2(const RestrictedPlan &plan, const double *select,
+                     const double *cost, const uint8_t *stored,
+                     const uint64_t *words, uint64_t *out)
+{
+    // col[t] lane s = select[s * 4 + t].
+    __m256d col[4];
+    transpose4(_mm256_loadu_pd(select), _mm256_loadu_pd(select + 4),
+               _mm256_loadu_pd(select + 8),
+               _mm256_loadu_pd(select + 12), col);
+    // Two halves of four words.
+    const std::size_t half = std::size_t{4} * plan.numBlocks * 4;
+    selectRestrictedQuad(plan, col, cost, stored, words, out);
+    selectRestrictedQuad(plan, col, cost + half, stored + 128,
+                         words + 4, out + 4);
+}
+
 inline __m128i
 load128(const uint8_t *at)
 {
@@ -335,10 +539,11 @@ crc32Pclmul(const uint8_t *p, std::size_t len, uint32_t seed)
         p, len, detail::scalarCrc32(folded, 16, ~uint32_t{0}));
 }
 
-constexpr Ops avx2Ops = {byteDiffMaskAvx2, mapSymbolsAvx2,
-                         accumRows4Avx2, accumRows8Avx2,
-                         accumBlocks4Avx2, mapBlocksAvx2,
-                         scoreXorCandidatesAvx2, crc32Pclmul};
+constexpr Ops avx2Ops = {byteDiffMaskAvx2,       mapSymbolsAvx2,
+                         accumRows4Avx2,         accumRows8Avx2,
+                         accumBlocks4Avx2,       mapBlocksAvx2,
+                         scoreXorCandidatesAvx2, selectRestrictedAvx2,
+                         crc32Pclmul};
 
 } // namespace
 

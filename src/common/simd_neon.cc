@@ -229,6 +229,7 @@ makeNeonOps()
     return {byteDiffMaskNeon, mapSymbolsNeon, accumRows4Neon,
             accumRows8Neon, accumBlocks4Neon, mapBlocksNeon,
             detail::scalarScoreXorCandidates,
+            detail::scalarSelectRestricted,
             cpuHasCrc32() ? crc32Arm : detail::scalarCrc32};
 }
 

@@ -1,5 +1,6 @@
 #include "wlcrc_codec.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -13,6 +14,7 @@ namespace wlcrc::core
 {
 
 using coset::Mapping;
+using simd::RestrictedPlan;
 using coset::tableICandidate;
 using pcm::State;
 
@@ -148,8 +150,7 @@ WlcrcCodec::WlcrcCodec(
     for (unsigned s = 0; s < pcm::numStates; ++s) {
         for (unsigned sym = 0; sym < 4; ++sym) {
             for (unsigned m = 0; m < 3; ++m) {
-                const pcm::State t =
-                    tableICandidate(m + 1).encode(sym);
+                const pcm::State t = candMaps_[m]->encode(sym);
                 triE_[s][sym][m] =
                     selectTable_[s][pcm::stateIndex(t)];
                 triU_[s][sym][m] =
@@ -160,7 +161,7 @@ WlcrcCodec::WlcrcCodec(
 
     if (layout_) {
         // Flatten the layout's selector-bit ownership searches into
-        // plans so the per-word loops run over plain arrays.
+        // the plan, so the selection loops run over plain arrays.
         const WordLayout &l = *layout_;
         const unsigned nblocks =
             static_cast<unsigned>(l.blocks.size());
@@ -172,20 +173,25 @@ WlcrcCodec::WlcrcCodec(
                     return static_cast<int8_t>(b);
             return -2; // unused (never happens for 8/16/32)
         };
-        numAux_ = static_cast<unsigned>(l.auxOnlyCells.size());
-        assert(numAux_ <= auxPlan_.size());
-        for (unsigned i = 0; i < numAux_; ++i) {
+        for (unsigned m = 0; m < 3; ++m)
+            std::copy_n(candTables_[m], 4, plan_.cand[m].begin());
+        plan_.numAux = static_cast<unsigned>(l.auxOnlyCells.size());
+        assert(plan_.numAux <= plan_.aux.size());
+        for (unsigned i = 0; i < plan_.numAux; ++i) {
             const unsigned cell = l.auxOnlyCells[i];
-            auxPlan_[i] = {static_cast<uint8_t>(cell),
-                           owner(cell * 2 + 1), owner(cell * 2)};
             auxMap_[i] = cell == l.groupBitPos / 2
                              ? &auxGroupMapping()
                              : &auxPairMapping();
+            auto &ap = plan_.aux[i];
+            ap.cell = static_cast<uint8_t>(cell);
+            ap.hi = owner(cell * 2 + 1);
+            ap.lo = owner(cell * 2);
+            std::copy_n(auxMap_[i]->stateTable(), 4, ap.map.begin());
         }
-        numBlocks_ = nblocks;
-        groupBitPos_ = l.groupBitPos;
+        plan_.numBlocks = nblocks;
+        plan_.groupBitPos = l.groupBitPos;
         for (unsigned b = 0; b < nblocks; ++b) {
-            blockBitPos_[b] =
+            plan_.blockBitPos[b] =
                 static_cast<uint8_t>(l.blockBitPos[b]);
             blkLoCost_[b] =
                 static_cast<uint8_t>(l.blocks[b].loCostCell);
@@ -215,10 +221,10 @@ WlcrcCodec::WlcrcCodec(
             assert(found_host && pos % 2 == 1 &&
                    "selector must be the high bit of a data cell");
             (void)found_host;
-            assert(numShared_ < sharedPlan_.size());
-            sharedPlan_[numShared_++] = {static_cast<uint8_t>(b),
-                                         static_cast<uint8_t>(host),
-                                         static_cast<uint8_t>(pos)};
+            assert(plan_.numShared < plan_.shared.size());
+            plan_.shared[plan_.numShared++] = {
+                static_cast<uint8_t>(b), static_cast<uint8_t>(host),
+                static_cast<uint8_t>(pos)};
         }
     }
 }
@@ -283,62 +289,107 @@ WlcrcCodec::compressible(const Line512 &data) const
     return compress::Wlc::lineCompressible(data, compressionK());
 }
 
-template <bool Mo>
 void
-WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
+WlcrcCodec::encodeLineRestricted(const Line512 &data,
                                  const State *stored,
                                  pcm::TargetLine &target) const
 {
-    using CostT = CostOf<Mo>;
-    const WordLayout &layout = *layout_;
-    const unsigned cell0 = w * 32;
-    const unsigned nblocks = numBlocks_;
-    const simd::Ops &k = simd::ops();
-    assert(nblocks <= maxBlocksPerWord);
+    const unsigned nblocks = plan_.numBlocks;
+    const unsigned stride = nblocks * 4;
+    const auto *cells = reinterpret_cast<const uint8_t *>(stored);
+    uint64_t words[lineWords];
+    uint64_t out[lineWords];
+    for (unsigned w = 0; w < lineWords; ++w)
+        words[w] = data.word(w);
 
     // Per-block cost of each candidate over the fully-known cells
-    // (Algorithm 1 line 4, evaluated in parallel in hardware). The
-    // fast path scores every block of the word with one fused
-    // accumBlocks4 call over the precomputed (stored, symbol)
-    // contribution rows — per block, the same doubles in the same
-    // cell order as the scalar-hook path below, so selections are
-    // identical. costE holds the sums at the kernel's stride of 4
-    // (lane 3 is padding); the multi-objective mode keeps its own
-    // energy+updates accumulation.
-    alignas(32) std::array<double, maxBlocksPerWord * 4> costE;
-    // Zero-initialised only in multi-objective mode: the energy-only
-    // path never reads it, and a real per-word array here would cost
-    // 24 dead stores plus 192 stack bytes on the hot path.
-    [[maybe_unused]] std::conditional_t<
-        Mo, std::array<std::array<CostT, 3>, maxBlocksPerWord>, char>
-        costMo{};
-    if constexpr (!Mo) {
-        std::fill_n(costE.data(), std::size_t{nblocks} * 4, 0.0);
-        if (!scalarScoringForTest()) [[likely]] {
-            k.accumBlocks4(
-                triE_[0][0].data(),
-                reinterpret_cast<const uint8_t *>(stored) + cell0,
-                word, blkLoCost_.data(), blkHiCost_.data(), nblocks,
-                costE.data());
-        } else {
+    // (Algorithm 1 line 4), [word][block][candidate] with lane 3 as
+    // padding, zeroed once for the whole line.
+    alignas(32) std::array<double, lineWords * maxBlocksPerWord * 4>
+        cost;
+    std::fill_n(cost.data(), lineWords * stride, 0.0);
+    if (!scalarScoringForTest()) [[likely]] {
+        // One fused accumBlocks4 call per word over the precomputed
+        // (stored, symbol) contribution rows, then the group and
+        // selector choice of all eight words (Algorithm 1 lines
+        // 5-6, evaluated in parallel in hardware) in one call.
+        const simd::Ops &k = simd::ops();
+        for (unsigned w = 0; w < lineWords; ++w)
+            k.accumBlocks4(triE_[0][0].data(), cells + w * 32,
+                           words[w], blkLoCost_.data(),
+                           blkHiCost_.data(), nblocks,
+                           cost.data() + w * stride);
+        k.selectRestricted(plan_, selectTable_[0].data(), cost.data(),
+                           cells, words, out);
+    } else {
+        // Scoring hook: rows recomputed per fetch, the same doubles
+        // in the same cell order, and the scalar selection kernel.
+        for (unsigned w = 0; w < lineWords; ++w) {
             for (unsigned b = 0; b < nblocks; ++b) {
-                const BlockLayout &blk = layout.blocks[b];
-                for (unsigned c = blk.loCostCell;
-                     c <= blk.hiCostCell; ++c) {
+                double *acc = cost.data() + w * stride + b * 4;
+                for (unsigned c = blkLoCost_[b]; c <= blkHiCost_[b];
+                     ++c) {
                     const unsigned sym = static_cast<unsigned>(
-                        (word >> (c * 2)) & 3);
-                    const State old_state = stored[cell0 + c];
-                    const double *row = selectRow(old_state);
-                    for (unsigned m = 0; m < 3; ++m) {
-                        const State t = candMaps_[m]->encode(sym);
-                        costE[b * 4 + m] += row[pcm::stateIndex(t)];
-                    }
+                        (words[w] >> (c * 2)) & 3);
+                    const double *row = selectRow(stored[w * 32 + c]);
+                    for (unsigned m = 0; m < 3; ++m)
+                        acc[m] += row[candTables_[m][sym]];
                 }
             }
         }
-    } else if (!scalarScoringForTest()) [[likely]] {
-        for (unsigned b = 0; b < nblocks; ++b) {
-            const BlockLayout &blk = layout.blocks[b];
+        std::array<double, pcm::numStates * pcm::numStates> select;
+        for (unsigned s = 0; s < pcm::numStates; ++s)
+            std::copy_n(scalarSelectRow(pcm::stateFromIndex(s)),
+                        pcm::numStates, select.begin() + s * 4);
+        simd::detail::scalarSelectRestricted(
+            plan_, select.data(), cost.data(), cells, words, out);
+    }
+    for (unsigned w = 0; w < lineWords; ++w)
+        placeWordRestricted(w, out[w], target);
+}
+
+void
+WlcrcCodec::placeWordRestricted(unsigned w, uint64_t out,
+                                pcm::TargetLine &target) const
+{
+    // Block cells with their chosen candidate (one fused kernel call
+    // for the whole word); aux-only cells with their own mapping.
+    const unsigned cell0 = w * 32;
+    const unsigned group =
+        static_cast<unsigned>((out >> plan_.groupBitPos) & 1);
+    const uint8_t *tables[maxBlocksPerWord];
+    for (unsigned b = 0; b < plan_.numBlocks; ++b)
+        tables[b] = candTables_[(out >> plan_.blockBitPos[b]) & 1
+                                    ? group + 1
+                                    : 0];
+    simd::ops().mapBlocks(
+        out, tables, blkLoCell_.data(), blkHiCell_.data(),
+        plan_.numBlocks,
+        reinterpret_cast<uint8_t *>(target.states()) + cell0);
+    for (unsigned a = 0; a < plan_.numAux; ++a) {
+        const RestrictedPlan::Aux &ap = plan_.aux[a];
+        const unsigned sym =
+            static_cast<unsigned>((out >> (ap.cell * 2)) & 3);
+        target[cell0 + ap.cell] = pcm::stateFromIndex(ap.map[sym]);
+        target.markAux(cell0 + ap.cell);
+    }
+}
+
+void
+WlcrcCodec::encodeWordRestrictedMo(unsigned w, uint64_t word,
+                                   const State *stored,
+                                   pcm::TargetLine &target) const
+{
+    const WordLayout &layout = *layout_;
+    const unsigned cell0 = w * 32;
+    const unsigned nblocks = plan_.numBlocks;
+
+    // Per-block energy and updated-cell count of each candidate over
+    // the fully-known cells.
+    std::array<std::array<Cost, 3>, maxBlocksPerWord> cost{};
+    for (unsigned b = 0; b < nblocks; ++b) {
+        const BlockLayout &blk = layout.blocks[b];
+        if (!scalarScoringForTest()) [[likely]] {
             std::array<double, 4> e{};
             std::array<uint32_t, 4> u{};
             for (unsigned c = blk.loCostCell; c <= blk.hiCostCell;
@@ -355,11 +406,8 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
                     u[m] += cu[m];
             }
             for (unsigned m = 0; m < 3; ++m)
-                costMo[b][m] = makeCost<Mo>(e[m], u[m]);
-        }
-    } else {
-        for (unsigned b = 0; b < nblocks; ++b) {
-            const BlockLayout &blk = layout.blocks[b];
+                cost[b][m] = Cost{e[m], u[m]};
+        } else {
             for (unsigned c = blk.loCostCell; c <= blk.hiCostCell;
                  ++c) {
                 const unsigned sym =
@@ -368,33 +416,21 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
                 const double *row = selectRow(old_state);
                 for (unsigned m = 0; m < 3; ++m) {
                     const State t = candMaps_[m]->encode(sym);
-                    costMo[b][m] += makeCost<Mo>(
-                        row[pcm::stateIndex(t)],
-                        t != old_state ? 1u : 0u);
+                    cost[b][m] += Cost{row[pcm::stateIndex(t)],
+                                       t != old_state ? 1u : 0u};
                 }
             }
         }
     }
-    // Block-cost accessor over whichever array the mode filled.
-    const auto costAt = [&](unsigned b, unsigned m) -> CostT {
-        if constexpr (Mo)
-            return costMo[b][m];
-        else
-            return costE[b * 4 + m];
-    };
 
     // Evaluate both groups; within each, decide every selector bit
-    // together with the aux cell it lands in. Selector-bit hosting
-    // (which aux cell / shared data cell holds which bit) was
-    // resolved into auxPlan_/sharedPlan_ at construction. Best-so-
-    // far tracking uses conditional moves (the take ternaries): the
-    // winning combo is data-dependent, and a mispredicted branch
-    // per combo costs more than the ternary ever does.
-    CostT group_cost[2] = {};
+    // together with the aux cell it lands in (plan order, as in
+    // Ops::selectRestricted).
+    Cost group_cost[2] = {};
     std::array<std::array<uint8_t, maxBlocksPerWord>, 2> pick{};
     for (unsigned g = 0; g < 2; ++g) {
         const unsigned alt = g + 1; // candidate index into candMaps_
-        CostT total{};
+        Cost total{};
 
         // Pass 1: blocks whose selector bit sits in an aux-only
         // cell. Bits sharing one cell are decided jointly (their
@@ -402,66 +438,14 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
         // auxiliary cell is a real differential write, so the
         // selection charges for it — exactly as the unrestricted
         // codecs do.
-        for (unsigned a = 0; a < numAux_; ++a) {
-            const AuxCellPlan &ap = auxPlan_[a];
+        for (unsigned a = 0; a < plan_.numAux; ++a) {
+            const RestrictedPlan::Aux &ap = plan_.aux[a];
             const Mapping &am = *auxMap_[a];
             const State old_state = stored[cell0 + ap.cell];
             const double *arow = selectRow(old_state);
             const int hi = ap.hi;
             const int lo = ap.lo;
-            if constexpr (!Mo) {
-                // Straight-line unrolls of the generic loop below:
-                // same (x, y) evaluation order, same strict-< first-
-                // wins ties, same left-to-right additions — the
-                // picks are identical, minus the per-combo branches
-                // (betterT<false> is a plain compare, so std::min
-                // and comparison-keyed selects stay branchless).
-                const uint8_t *atab = am.stateTable();
-                const unsigned hb_fix = hi == -1 ? g : 0;
-                const unsigned lb_fix = lo == -1 ? g : 0;
-                if (hi >= 0 && lo >= 0) {
-                    const unsigned hu = static_cast<unsigned>(hi);
-                    const unsigned lu = static_cast<unsigned>(lo);
-                    const double chi0 = costE[4 * hu];
-                    const double chiA = costE[4 * hu + alt];
-                    const double clo0 = costE[4 * lu];
-                    const double cloA = costE[4 * lu + alt];
-                    const double c00 = arow[atab[0]] + chi0 + clo0;
-                    const double c01 = arow[atab[1]] + chi0 + cloA;
-                    const double c10 = arow[atab[2]] + chiA + clo0;
-                    const double c11 = arow[atab[3]] + chiA + cloA;
-                    double bv = c00;
-                    unsigned bi = 0;
-                    bi = c01 < bv ? 1 : bi;
-                    bv = std::min(c01, bv);
-                    bi = c10 < bv ? 2 : bi;
-                    bv = std::min(c10, bv);
-                    bi = c11 < bv ? 3 : bi;
-                    bv = std::min(c11, bv);
-                    pick[g][hu] = static_cast<uint8_t>(bi >> 1);
-                    pick[g][lu] = static_cast<uint8_t>(bi & 1);
-                    total += bv;
-                } else if (hi >= 0 || lo >= 0) {
-                    const unsigned bu = static_cast<unsigned>(
-                        hi >= 0 ? hi : lo);
-                    const unsigned s0 = hi >= 0 ? lb_fix
-                                                : (hb_fix << 1);
-                    const unsigned s1 =
-                        hi >= 0 ? (1u << 1) | lb_fix
-                                : (hb_fix << 1) | 1u;
-                    const double c0 =
-                        arow[atab[s0]] + costE[4 * bu];
-                    const double c1 =
-                        arow[atab[s1]] + costE[4 * bu + alt];
-                    const bool t1 = c1 < c0;
-                    pick[g][bu] = static_cast<uint8_t>(t1);
-                    total += std::min(c1, c0);
-                } else {
-                    total += arow[atab[(hb_fix << 1) | lb_fix]];
-                }
-                continue;
-            }
-            CostT best{};
+            Cost best{};
             unsigned best_hi = 0, best_lo = 0;
             bool first = true;
             for (unsigned x = 0; x < (hi >= 0 ? 2u : 1u); ++x) {
@@ -469,18 +453,14 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
                     const unsigned hb = hi == -1 ? g : x;
                     const unsigned lb = lo == -1 ? g : y;
                     const State t = am.encode((hb << 1) | lb);
-                    CostT cand =
-                        makeCost<Mo>(arow[pcm::stateIndex(t)],
-                                     t != old_state ? 1u : 0u);
+                    Cost cand{arow[pcm::stateIndex(t)],
+                              t != old_state ? 1u : 0u};
                     if (hi >= 0)
-                        cand += costAt(static_cast<unsigned>(hi),
-                                       x ? alt : 0);
+                        cand += cost[hi][x ? alt : 0];
                     if (lo >= 0)
-                        cand += costAt(static_cast<unsigned>(lo),
-                                       y ? alt : 0);
+                        cand += cost[lo][y ? alt : 0];
                     const bool take =
-                        first ||
-                        betterT<Mo>(cand, best, threshold_);
+                        first || better(cand, best, threshold_);
                     best = take ? cand : best;
                     best_hi = take ? x : best_hi;
                     best_lo = take ? y : best_lo;
@@ -498,8 +478,8 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
         // another block (decode order guarantees the host block is
         // already decided). The shared cell is mapped by the host
         // block's candidate.
-        for (unsigned sp = 0; sp < numShared_; ++sp) {
-            const SharedSelPlan &plan = sharedPlan_[sp];
+        for (unsigned sp = 0; sp < plan_.numShared; ++sp) {
+            const RestrictedPlan::Shared &plan = plan_.shared[sp];
             const unsigned cell = plan.pos / 2;
             const Mapping &host_map =
                 pick[g][plan.host] ? *candMaps_[alt] : *candMaps_[0];
@@ -507,16 +487,15 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
                 (word >> (plan.pos - 1)) & 1);
             const State old_state = stored[cell0 + cell];
             const double *srow = selectRow(old_state);
-            CostT best{};
+            Cost best{};
             unsigned best_x = 0;
             for (unsigned x = 0; x < 2; ++x) {
                 const State t = host_map.encode((x << 1) | data_bit);
-                CostT cand =
-                    makeCost<Mo>(srow[pcm::stateIndex(t)],
-                                 t != old_state ? 1u : 0u);
-                cand += costAt(plan.block, x ? alt : 0);
+                Cost cand{srow[pcm::stateIndex(t)],
+                          t != old_state ? 1u : 0u};
+                cand += cost[plan.block][x ? alt : 0];
                 const bool take =
-                    x == 0 || betterT<Mo>(cand, best, threshold_);
+                    x == 0 || better(cand, best, threshold_);
                 best = take ? cand : best;
                 best_x = take ? x : best_x;
             }
@@ -528,37 +507,19 @@ WlcrcCodec::encodeWordRestricted(unsigned w, uint64_t word,
 
     // Algorithm 1 line 5, with ties resolved toward group 0.
     const unsigned group =
-        betterT<Mo>(group_cost[1], group_cost[0], threshold_) ? 1
-                                                              : 0;
+        better(group_cost[1], group_cost[0], threshold_) ? 1 : 0;
 
-    // Assemble the final bit pattern: data bits + aux bits in the
-    // reclaimed region.
+    // The final bit pattern: data bits + aux bits in the reclaimed
+    // region.
     uint64_t out = word;
     auto set_bit = [&out](unsigned pos, unsigned v) {
         out = (out & ~(uint64_t{1} << pos)) |
               (uint64_t(v & 1) << pos);
     };
-    set_bit(groupBitPos_, group);
+    set_bit(plan_.groupBitPos, group);
     for (unsigned b = 0; b < nblocks; ++b)
-        set_bit(blockBitPos_[b], pick[group][b]);
-
-    // Map block cells with their chosen candidate (one fused kernel
-    // call for the whole word); aux-only cells with the default
-    // mapping (their '0' bits land on S1).
-    uint8_t *tgt =
-        reinterpret_cast<uint8_t *>(target.states()) + cell0;
-    const uint8_t *tables[maxBlocksPerWord];
-    for (unsigned b = 0; b < nblocks; ++b)
-        tables[b] = candTables_[pick[group][b] ? group + 1 : 0];
-    k.mapBlocks(out, tables, blkLoCell_.data(), blkHiCell_.data(),
-                nblocks, tgt);
-    for (unsigned a = 0; a < numAux_; ++a) {
-        const unsigned c = auxPlan_[a].cell;
-        const unsigned sym =
-            static_cast<unsigned>((out >> (c * 2)) & 3);
-        target[cell0 + c] = auxMap_[a]->encode(sym);
-        target.markAux(cell0 + c);
-    }
+        set_bit(plan_.blockBitPos[b], pick[group][b]);
+    placeWordRestricted(w, out, target);
 }
 
 template <bool Mo>
@@ -571,8 +532,6 @@ WlcrcCodec::encodeWord64(unsigned w, uint64_t word,
     // WLCRC-64 == unrestricted 3cosets on bits 61..0; the candidate
     // index is held in cell 31 directly as a state (C1->S1 etc.).
     const unsigned cell0 = w * 32;
-    const Mapping *maps[3] = {&tableICandidate(1), &tableICandidate(2),
-                              &tableICandidate(3)};
     CostT cost[3] = {};
     if (!scalarScoringForTest()) [[likely]] {
         std::array<double, 4> e{};
@@ -605,7 +564,7 @@ WlcrcCodec::encodeWord64(unsigned w, uint64_t word,
             const State old_state = stored[cell0 + c];
             const double *row = selectRow(old_state);
             for (unsigned m = 0; m < 3; ++m) {
-                const State t = maps[m]->encode(sym);
+                const State t = candMaps_[m]->encode(sym);
                 cost[m] += makeCost<Mo>(row[pcm::stateIndex(t)],
                                         t != old_state ? 1u : 0u);
             }
@@ -622,7 +581,7 @@ WlcrcCodec::encodeWord64(unsigned w, uint64_t word,
             best = m;
 
     simd::ops().mapSymbols(
-        word, maps[best]->stateTable(), 0, 30,
+        word, candTables_[best], 0, 30,
         reinterpret_cast<uint8_t *>(target.states()) + cell0);
     target[cell0 + 31] = coset::auxIndexState(best);
     target.markAux(cell0 + 31);
@@ -641,11 +600,10 @@ WlcrcCodec::encodeInto(const Line512 &data,
 
     if (!compressible(data)) {
         // Raw format: flag = S2, plain default-mapping write.
-        const Mapping &c1 = tableICandidate(1);
         uint8_t *tgt = reinterpret_cast<uint8_t *>(target.states());
         const simd::Ops &k = simd::ops();
         for (unsigned w = 0; w < lineWords; ++w)
-            k.mapSymbols(data.word(w), c1.stateTable(), 0, 31,
+            k.mapSymbols(data.word(w), candTables_[0], 0, 31,
                          tgt + w * 32);
         target[lineSymbols] = State::S2;
         return;
@@ -653,22 +611,17 @@ WlcrcCodec::encodeInto(const Line512 &data,
 
     target[lineSymbols] = State::S1; // flag: compressed
     const State *cells = stored.data();
-    if (threshold_ > 0.0) {
-        for (unsigned w = 0; w < lineWords; ++w) {
-            if (granularity_ == 64)
-                encodeWord64<true>(w, data.word(w), cells, target);
-            else
-                encodeWordRestricted<true>(w, data.word(w), cells,
-                                           target);
-        }
+    if (granularity_ != 64 && threshold_ == 0.0) {
+        encodeLineRestricted(data, cells, target);
+    } else if (granularity_ != 64) {
+        for (unsigned w = 0; w < lineWords; ++w)
+            encodeWordRestrictedMo(w, data.word(w), cells, target);
+    } else if (threshold_ > 0.0) {
+        for (unsigned w = 0; w < lineWords; ++w)
+            encodeWord64<true>(w, data.word(w), cells, target);
     } else {
-        for (unsigned w = 0; w < lineWords; ++w) {
-            if (granularity_ == 64)
-                encodeWord64<false>(w, data.word(w), cells, target);
-            else
-                encodeWordRestricted<false>(w, data.word(w), cells,
-                                            target);
-        }
+        for (unsigned w = 0; w < lineWords; ++w)
+            encodeWord64<false>(w, data.word(w), cells, target);
     }
 }
 
@@ -676,9 +629,7 @@ uint64_t
 WlcrcCodec::decodeWordRestricted(
     unsigned w, const std::vector<State> &stored) const
 {
-    const WordLayout &layout = WordLayout::restricted(granularity_);
     const unsigned cell0 = w * 32;
-    const Mapping &c1 = tableICandidate(1);
 
     uint64_t bits = 0;
     auto set_sym = [&bits](unsigned cell, unsigned sym) {
@@ -688,30 +639,28 @@ WlcrcCodec::decodeWordRestricted(
     // Aux-only cells first: they hold the group bit and the selector
     // bits of the independently-decodable blocks (written through
     // the frequency-ordered aux mappings).
-    for (unsigned c : layout.auxOnlyCells) {
-        const Mapping &am = c == layout.groupBitPos / 2
-                                ? auxGroupMapping()
-                                : auxPairMapping();
-        set_sym(c, am.decode(stored[cell0 + c]));
+    for (unsigned a = 0; a < plan_.numAux; ++a) {
+        const unsigned c = plan_.aux[a].cell;
+        set_sym(c, auxMap_[a]->decode(stored[cell0 + c]));
     }
 
     const unsigned group =
-        static_cast<unsigned>((bits >> layout.groupBitPos) & 1);
-    const Mapping &alt = tableICandidate(group ? 3 : 2);
+        static_cast<unsigned>((bits >> plan_.groupBitPos) & 1);
+    const Mapping &c1 = *candMaps_[0];
+    const Mapping &alt = *candMaps_[group + 1];
 
     // Blocks in dependency order: a block whose selector bit lives
     // inside another block's cells is decoded after that block.
-    for (unsigned b : layout.decodeOrder) {
-        const BlockLayout &blk = layout.blocks[b];
+    for (const unsigned b : layout_->decodeOrder) {
         const unsigned sel = static_cast<unsigned>(
-            (bits >> layout.blockBitPos[b]) & 1);
+            (bits >> plan_.blockBitPos[b]) & 1);
         const Mapping &m = sel ? alt : c1;
-        for (unsigned c = blk.loCell; c <= blk.hiCell; ++c)
+        for (unsigned c = blkLoCell_[b]; c <= blkHiCell_[b]; ++c)
             set_sym(c, m.decode(stored[cell0 + c]));
     }
 
     // WLC decompression: extend the sign bit over the reclaimed MSBs.
-    return compress::Wlc::signExtendWord(bits, layout.reclaimed);
+    return compress::Wlc::signExtendWord(bits, layout_->reclaimed);
 }
 
 uint64_t
@@ -721,7 +670,7 @@ WlcrcCodec::decodeWord64(unsigned w,
     const unsigned cell0 = w * 32;
     const unsigned idx =
         coset::auxIndexFromState(stored[cell0 + 31]);
-    const Mapping &m = tableICandidate(idx < 3 ? idx + 1 : 1);
+    const Mapping &m = *candMaps_[idx < 3 ? idx : 0];
     uint64_t bits = 0;
     for (unsigned c = 0; c < 31; ++c) {
         bits |= uint64_t(m.decode(stored[cell0 + c])) << (c * 2);
@@ -735,7 +684,7 @@ WlcrcCodec::decode(const std::vector<State> &stored) const
     assert(stored.size() == cellCount());
     Line512 data;
     if (stored[lineSymbols] != State::S1) {
-        const Mapping &c1 = tableICandidate(1);
+        const Mapping &c1 = *candMaps_[0];
         for (unsigned s = 0; s < lineSymbols; ++s)
             data.setSymbol(s, c1.decode(stored[s]));
         return data;

@@ -33,6 +33,7 @@
 
 #include <array>
 
+#include "common/simd.hh"
 #include "coset/codec.hh"
 #include "pcm/disturbance.hh"
 #include "coset/mapping.hh"
@@ -92,21 +93,34 @@ class WlcrcCodec : public coset::LineCodec
     /** True iff @p data would be stored in compressed+encoded form. */
     bool compressible(const Line512 &data) const;
 
+    /**
+     * The restricted layout as the selection kernel reads it
+     * (numBlocks == 0 for g = 64, which has none); for kernel tests.
+     */
+    const simd::RestrictedPlan &selectPlan() const { return plan_; }
+
   private:
     /** Upper bound on restricted blocks per 64-bit word (g = 8). */
-    static constexpr unsigned maxBlocksPerWord = 8;
+    static constexpr unsigned maxBlocksPerWord = simd::selectMaxBlocks;
 
     /**
-     * Encode one compressible word (restricted cosets, g<=32).
-     * @tparam Mo  multi-objective mode: track updated-cell counts
-     *         for the endurance tie-break. The default (Mo = false,
-     *         threshold 0) never consults them, so that path
-     *         accumulates energies only — selections are identical.
+     * Encode a compressible line with restricted cosets (g <= 32),
+     * energy only: every word's blocks scored into one buffer, then
+     * all eight words' cosets chosen in one Ops::selectRestricted
+     * call.
      */
-    template <bool Mo>
-    void encodeWordRestricted(unsigned w, uint64_t word,
+    void encodeLineRestricted(const Line512 &data,
                               const pcm::State *stored,
                               pcm::TargetLine &target) const;
+    /** Encode one compressible word with restricted cosets under
+     *  the multi-objective tie-break (threshold > 0). */
+    void encodeWordRestrictedMo(unsigned w, uint64_t word,
+                                const pcm::State *stored,
+                                pcm::TargetLine &target) const;
+    /** Map word @p w's cells from its encoded bit pattern @p out
+     *  (data bits plus the group and selector bits). */
+    void placeWordRestricted(unsigned w, uint64_t out,
+                             pcm::TargetLine &target) const;
     /** Encode one compressible word (3cosets, g=64). */
     template <bool Mo>
     void encodeWord64(unsigned w, uint64_t word,
@@ -161,21 +175,13 @@ class WlcrcCodec : public coset::LineCodec
                pcm::numStates>
         triU_{};
 
-    /** Aux-only cell of the restricted layout, with the selector
-     *  bits it hosts resolved at construction (-1 = the group bit,
-     *  -2 = unused, else block index). */
-    struct AuxCellPlan
-    {
-        uint8_t cell;
-        int8_t hi;
-        int8_t lo;
-    };
-    std::array<AuxCellPlan, 4> auxPlan_{};
-    unsigned numAux_ = 0;
+    /** The restricted layout flattened for the selection kernel:
+     *  selector-bit owners of each aux-only cell, shared-cell
+     *  selector bits in decode order, candidate and aux tables. */
+    simd::RestrictedPlan plan_{};
 
     /** Mapping of each aux-only cell (group-bit cell vs selector
-     *  pair cell), resolved at construction so the per-word loops
-     *  skip the function-local-static guards. */
+     *  pair cell), in plan_.aux order. */
     std::array<const coset::Mapping *, 4> auxMap_{};
 
     /** tableICandidate(1..3), cached for the per-word loops. */
@@ -185,13 +191,7 @@ class WlcrcCodec : public coset::LineCodec
      *  picks each block's LUT with one indexed load. */
     std::array<const uint8_t *, 3> candTables_{};
 
-    /** Restricted-layout fields flattened out of WordLayout so the
-     *  per-word hot loop avoids the pointer chases (vector size
-     *  division, blockBitPos indexing) on every word. */
-    unsigned numBlocks_ = 0;
-    unsigned groupBitPos_ = 0;
     unsigned compressionK_ = 0;
-    std::array<uint8_t, maxBlocksPerWord> blockBitPos_{};
 
     /** Block cell ranges flattened to the argument layout of the
      *  fused simd kernels (accumBlocks4 / mapBlocks). */
@@ -199,17 +199,6 @@ class WlcrcCodec : public coset::LineCodec
     std::array<uint8_t, maxBlocksPerWord> blkHiCost_{};
     std::array<uint8_t, maxBlocksPerWord> blkLoCell_{};
     std::array<uint8_t, maxBlocksPerWord> blkHiCell_{};
-
-    /** Block whose selector bit shares a data cell with a host
-     *  block, in decode order. */
-    struct SharedSelPlan
-    {
-        uint8_t block;
-        uint8_t host;
-        uint8_t pos;
-    };
-    std::array<SharedSelPlan, 4> sharedPlan_{};
-    unsigned numShared_ = 0;
 };
 
 } // namespace wlcrc::core

@@ -1,10 +1,13 @@
 /**
  * @file
- * The FlipMin and DIN encode paths and Bch::parity against their
- * serial references in tests/support/coset/encode_reference.hh, bit
- * for bit: parity bits over every field and payload length a Bch can
- * take, TargetLines under every SIMD kernel and under the
- * recompute-per-fetch scoring hook, and whole ReplayResults.
+ * The FlipMin, DIN and WLCRC (8, 16, 32, 16-da) encode paths and
+ * Bch::parity against their serial references in
+ * tests/support/coset/encode_reference.hh, bit for bit: parity bits
+ * over every field and payload length a Bch can take, TargetLines
+ * under every SIMD kernel and under the recompute-per-fetch scoring
+ * hook (random lines and tie-heavy ones, where first-wins order
+ * decides every pick), and whole ReplayResults with and without
+ * Verify-n-Restore.
  */
 
 #include <gtest/gtest.h>
@@ -270,9 +273,12 @@ expectSameStat(const stats::RunningStat &a, const stats::RunningStat &b,
     EXPECT_EQ(a.max(), b.max()) << what;
 }
 
-TEST_P(EncodeReference, ReplayResultsMatchUnderEveryKernel)
+/** Replays gcc and lesl streams through @p scheme's production codec
+ *  under every kernel and through its reference under the scalar
+ *  kernel; the ReplayResults must be equal. */
+void
+expectSameReplays(const std::string &scheme, bool vnr)
 {
-    const std::string scheme = GetParam();
     const pcm::EnergyModel energy;
     const pcm::WriteUnit unit{energy, pcm::DisturbanceModel()};
     const auto fast = core::makeCodec(scheme, energy);
@@ -287,17 +293,17 @@ TEST_P(EncodeReference, ReplayResultsMatchUnderEveryKernel)
         trace::ReplayResult want;
         {
             KernelScope scalar(Kernel::Scalar);
-            trace::Replayer rep(*ref, unit, 7, true);
+            trace::Replayer rep(*ref, unit, 7, vnr);
             for (const auto &t : txns)
                 rep.step(t);
             want = rep.result();
         }
-        if (scheme == "DIN") {
+        if (scheme != "FlipMin") {
             EXPECT_GT(want.compressedWrites, 0u) << profile;
         }
         for (const Kernel k : availableKernels()) {
             KernelScope scope(k);
-            trace::Replayer rep(*fast, unit, 7, true);
+            trace::Replayer rep(*fast, unit, 7, vnr);
             std::size_t at = 0;
             rep.runBatch([&](trace::WriteTransaction &slot) {
                 if (at >= txns.size())
@@ -307,7 +313,8 @@ TEST_P(EncodeReference, ReplayResultsMatchUnderEveryKernel)
             });
             const trace::ReplayResult got = rep.result();
             const std::string what = scheme + "/" + profile + "/" +
-                                     simd::kernelName(k);
+                                     simd::kernelName(k) +
+                                     (vnr ? "" : "/no-vnr");
             expectSameStat(got.energyPj, want.energyPj, what);
             expectSameStat(got.dataEnergyPj, want.dataEnergyPj, what);
             expectSameStat(got.auxEnergyPj, want.auxEnergyPj, what);
@@ -326,7 +333,82 @@ TEST_P(EncodeReference, ReplayResultsMatchUnderEveryKernel)
     }
 }
 
+TEST_P(EncodeReference, ReplayResultsMatchUnderEveryKernel)
+{
+    expectSameReplays(GetParam(), true);
+}
+
+TEST_P(EncodeReference, ReplayResultsMatchWithoutVnr)
+{
+    expectSameReplays(GetParam(), false);
+}
+
+/** Encodes @p data over @p stored with the production codec under
+ *  every kernel and the scoring hook; each must match @p ref. */
+void
+expectSameEncode(const coset::LineCodec &fast,
+                 const coset::LineCodec &ref, const Line512 &data,
+                 const std::vector<State> &stored,
+                 const std::string &what)
+{
+    pcm::TargetLine want;
+    {
+        KernelScope scalar(Kernel::Scalar);
+        want = ref.encode(data, stored);
+    }
+    for (const Kernel k : availableKernels()) {
+        KernelScope scope(k);
+        expectSameTarget(fast.encode(data, stored), want,
+                         what + " " + simd::kernelName(k));
+        ScalarScoringScope hook;
+        expectSameTarget(fast.encode(data, stored), want,
+                         what + " hook");
+    }
+}
+
+TEST_P(EncodeReference, TieHeavyLinesMatch)
+{
+    // Lines where candidates cost the same, so the first-wins order
+    // of every comparison decides the picks: all-zero words over an
+    // all-S1 line (every combo costs 0), uniform stored lines, and
+    // lines that already hold their own encoding (re-writing a line
+    // unchanged).
+    const std::string scheme = GetParam();
+    for (const pcm::EnergyModel &energy :
+         {pcm::EnergyModel(),
+          pcm::EnergyModel(0.1, {0.0, 0.7, 3.3, 11.9})}) {
+        const auto fast = core::makeCodec(scheme, energy);
+        const auto ref = coset::reference::makeReference(scheme, energy);
+        const unsigned cells = fast->cellCount();
+        Rng rng(0x7135);
+        std::vector<Line512> lines(2);
+        lines[1].setWord(0, ~uint64_t{0});
+        for (unsigned i = 0; i < 20; ++i)
+            lines.push_back(patternLine(rng));
+        for (unsigned i = 0; i < lines.size(); ++i) {
+            const std::string what =
+                scheme + " line " + std::to_string(i);
+            for (unsigned s = 0; s < pcm::numStates; ++s)
+                expectSameEncode(
+                    *fast, *ref, lines[i],
+                    std::vector<State>(cells, pcm::stateFromIndex(s)),
+                    what + " uniform S" + std::to_string(s + 1));
+            const pcm::TargetLine t = ref->encode(
+                lines[i], std::vector<State>(cells, State::S1));
+            std::vector<State> same(cells);
+            for (unsigned c = 0; c < cells; ++c)
+                same[c] = t[c];
+            expectSameEncode(*fast, *ref, lines[i], same,
+                             what + " stored == target");
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Schemes, EncodeReference,
-                         ::testing::Values("FlipMin", "DIN"));
+                         ::testing::Values("FlipMin", "DIN", "WLCRC-8",
+                                           "WLCRC-16", "WLCRC-32",
+                                           "WLCRC-16-da"));
 
 } // namespace

@@ -9,7 +9,9 @@
  * enforces that at three levels:
  *
  * 1. Kernel level: byteDiffMask / mapSymbols / accumRows4 / accumRows8
- *    of every available kernel against the scalar table, and
+ *    of every available kernel against the scalar table,
+ *    selectRestricted against the scalar table on the WLCRC-8/16/32
+ *    plans (with tie-heavy integer costs), and
  *    scoreXorCandidates against one-candidate-at-a-time sums, over
  *    randomized inputs and the edge geometries (partial last word,
  *    single-cell ranges, range ends at 31); crc32 of every kernel
@@ -52,6 +54,7 @@
 #include "trace/replay.hh"
 #include "trace/workload.hh"
 #include "wlcrc/factory.hh"
+#include "wlcrc/wlcrc_codec.hh"
 
 namespace
 {
@@ -413,6 +416,57 @@ TEST(SimdKernels, MapBlocksMatchesComposedMapSymbols)
                                      got.size()))
                 << simd::kernelName(k) << " round " << round << " ["
                 << a << "," << z << "] nblocks=" << nblocks;
+        }
+    }
+}
+
+TEST(SimdKernels, SelectRestrictedMatchesScalar)
+{
+    const simd::Ops &ref = simd::opsFor(Kernel::Scalar);
+    Rng rng(707);
+    for (const unsigned g : {8u, 16u, 32u}) {
+        const auto codec =
+            core::makeCodec("WLCRC-" + std::to_string(g),
+                            pcm::EnergyModel());
+        const simd::RestrictedPlan &plan =
+            dynamic_cast<const core::WlcrcCodec &>(*codec)
+                .selectPlan();
+        ASSERT_GT(plan.numBlocks, 0u);
+        for (const Kernel k : availableKernels()) {
+            const simd::Ops &ops = simd::opsFor(k);
+            for (unsigned round = 0; round < 256; ++round) {
+                // Odd rounds draw costs from {0, 1, 2}: many combos
+                // tie, so the first-wins order decides the picks.
+                const bool ties = round % 2;
+                auto draw = [&] {
+                    return ties ? static_cast<double>(rng.next() % 3)
+                                : rng.nextDouble() * 100.0;
+                };
+                std::array<double, 16> select;
+                for (unsigned i = 0; i < 16; ++i)
+                    select[i] = i % 5 == 0 ? 0.0 : draw();
+                std::vector<double> cost(simd::selectWords *
+                                         plan.numBlocks * 4);
+                for (auto &c : cost)
+                    c = draw();
+                std::array<uint8_t, 256> stored;
+                for (auto &st : stored)
+                    st = static_cast<uint8_t>(rng.next() & 3);
+                std::array<uint64_t, simd::selectWords> words;
+                for (auto &w : words)
+                    w = rng.next();
+                std::array<uint64_t, simd::selectWords> got{}, want{};
+                ref.selectRestricted(plan, select.data(), cost.data(),
+                                     stored.data(), words.data(),
+                                     want.data());
+                ops.selectRestricted(plan, select.data(), cost.data(),
+                                     stored.data(), words.data(),
+                                     got.data());
+                for (unsigned w = 0; w < simd::selectWords; ++w)
+                    EXPECT_EQ(got[w], want[w])
+                        << simd::kernelName(k) << " g=" << g
+                        << " round " << round << " word " << w;
+            }
         }
     }
 }

@@ -1,14 +1,18 @@
 /**
  * @file
- * Serial reference of the FlipMin and DIN encode paths.
+ * Serial reference of the FlipMin, DIN and WLCRC restricted encode
+ * paths.
  *
  * FlipMinCodec scores its 16 candidates in lanes through
  * simd::Ops::scoreXorCandidates, DinCodec expands and places its
- * codeword a word at a time, and Bch::parity runs a byte-at-a-time
- * LFSR. The code here is what they replaced, kept verbatim: FlipMin
- * scores one candidate at a time over 256 cells, DIN reads its
- * compressed stream a bit at a time, and the BCH remainder is
- * reduced one bit byte at a time. The simulator never calls it.
+ * codeword a word at a time, Bch::parity runs a byte-at-a-time LFSR,
+ * and WlcrcCodec chooses the restricted cosets of a whole line in
+ * one simd::Ops::selectRestricted call. The code here is what they
+ * replaced, kept verbatim: FlipMin scores one candidate at a time
+ * over 256 cells, DIN reads its compressed stream a bit at a time,
+ * the BCH remainder is reduced one bit byte at a time, and WLCRC
+ * scores and selects one word at a time with scalar code. The
+ * simulator never calls it.
  * tests/encode_reference_test.cc and the `encode` stage of
  * wlcrc_fuzz require the production codecs to match it bit for bit.
  */
@@ -16,6 +20,7 @@
 #ifndef WLCRC_COSET_ENCODE_REFERENCE_HH
 #define WLCRC_COSET_ENCODE_REFERENCE_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,6 +31,7 @@
 #include "coset/din_codec.hh"
 #include "coset/flipmin_codec.hh"
 #include "ecc/bch.hh"
+#include "wlcrc/wlcrc_codec.hh"
 
 namespace wlcrc::coset::reference
 {
@@ -81,7 +87,39 @@ class Din : public LineCodec
 };
 
 /**
- * The reference codec of @p scheme ("FlipMin" or "DIN").
+ * WLCRC at granularity 8, 16 or 32, energy only (no multi-objective
+ * tie-break), scoring and selecting one word at a time; decode is
+ * WlcrcCodec's.
+ */
+class Wlcrc : public LineCodec
+{
+  public:
+    Wlcrc(const pcm::EnergyModel &energy, unsigned granularity_bits,
+          const std::array<double, pcm::numStates> &state_penalty_pj =
+              {});
+
+    std::string name() const override { return codec_.name(); }
+    unsigned cellCount() const override { return lineSymbols + 1; }
+    void encodeInto(const Line512 &data,
+                    std::span<const pcm::State> stored,
+                    EncodeScratch &scratch,
+                    pcm::TargetLine &target) const override;
+    Line512 decode(
+        const std::vector<pcm::State> &stored) const override;
+
+  private:
+    void encodeWord(unsigned w, uint64_t word, const pcm::State *stored,
+                    pcm::TargetLine &target) const;
+
+    core::WlcrcCodec codec_;
+    const core::WordLayout &layout_;
+    std::array<std::array<double, pcm::numStates>, pcm::numStates>
+        select_{};
+};
+
+/**
+ * The reference codec of @p scheme: "FlipMin", "DIN", "WLCRC-8",
+ * "WLCRC-16", "WLCRC-32" or "WLCRC-16-da".
  * @throws std::invalid_argument for any other scheme.
  */
 CodecPtr makeReference(const std::string &scheme,

@@ -32,13 +32,14 @@
  * state).
  *
  * A seeded encode stage follows: FlipMin (16 XOR-mask candidates
- * scored in lanes) and DIN (word-level 3-to-4 expansion, table-driven
- * BCH parity) must encode pattern-biased lines over random stored
- * lines, under the paper's and a fractional energy model, exactly as
- * their serial references in tests/support/coset/encode_reference.hh
- * do (TargetLine cell for cell), under every kernel and under the
- * scalar-scoring hook; random 492-bit payloads must get the
- * reference's BCH parity.
+ * scored in lanes), DIN (word-level 3-to-4 expansion, table-driven
+ * BCH parity) and WLCRC-8/16/32/16-da (the restricted cosets of all
+ * eight words chosen in one selectRestricted call) must encode
+ * pattern-biased lines over random stored lines, under the paper's
+ * and a fractional energy model, exactly as their serial references
+ * in tests/support/coset/encode_reference.hh do (TargetLine cell for
+ * cell), under every kernel and under the scalar-scoring hook;
+ * random 492-bit payloads must get the reference's BCH parity.
  *
  * A seeded WRK1 stage follows: an in-process distributed-sweep head
  * (runner/remote.hh) is bombarded with hostile client streams —
@@ -109,8 +110,9 @@ usage(std::FILE *to)
         "available SIMD kernel and the scalar-scoring test hook,\n"
         "failing loudly on any bit difference from the scalar\n"
         "reference. Seeded CRC-32 kernel, LZ round-trip/mutation,\n"
-        "device program and FlipMin/DIN encode (against their serial\n"
-        "references) and hostile WRK1 client stages run first.\n"
+        "device program and FlipMin/DIN/WLCRC encode (against their\n"
+        "serial references) and hostile WRK1 client stages run\n"
+        "first.\n"
         "Exits 0 on a clean run, 1 on a mismatch.\n");
 }
 
@@ -447,7 +449,7 @@ struct ReferencePair
 };
 
 /**
- * One seeded encode case: every FlipMin/DIN pair must encode one
+ * One seeded encode case: every reference pair must encode one
  * line identically under every kernel and the scoring hook, and the
  * DIN code's parity must match the bit-serial division.
  * @return false (after a report) on a mismatch.
@@ -800,7 +802,9 @@ main(int argc, char **argv)
             std::vector<ReferencePair> pairs;
             for (const pcm::EnergyModel &e :
                  {energy, pcm::EnergyModel(0.1, {0.0, 0.7, 3.3, 11.9})})
-                for (const char *scheme : {"FlipMin", "DIN"})
+                for (const char *scheme :
+                     {"FlipMin", "DIN", "WLCRC-8", "WLCRC-16",
+                      "WLCRC-32", "WLCRC-16-da"})
                     pairs.push_back(
                         {core::makeCodec(scheme, e),
                          coset::reference::makeReference(scheme, e)});
